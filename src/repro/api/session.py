@@ -794,8 +794,9 @@ class ClassificationSession:
 
         All problems are resolved and submitted up front (so pooled and
         remote endpoints overlap the searches), then outcomes stream as each
-        resolves.  ``deadline`` is a per-canonical-key search budget: a blown
-        key yields ``outcome="timeout"`` items while the rest completes.
+        resolves.  ``deadline`` is a per-problem budget covering
+        canonicalization and search: a blown budget yields
+        ``outcome="timeout"`` items while the rest completes.
         """
         priority, deadline = self._scheduling(priority, deadline, "batch")
         resolved = [

@@ -43,8 +43,8 @@ backend selected with ``--worker-backend {inline,threads,processes}`` and
 sized with ``--workers N`` (``--processes N`` remains as the legacy
 spelling).  Because the certificate searches are exponential in the worst
 case, every classification command accepts ``--deadline SECONDS`` (per-
-canonical-key search budget; blown budgets report outcome ``timeout`` —
-exit code 124 for single classifies) and ``--priority
+problem budget covering canonicalization and search; blown budgets report
+outcome ``timeout`` — exit code 124 for single classifies) and ``--priority
 {interactive,batch,warm}``.  ``warm`` additionally accepts ``--budget
 SECONDS``, a wall-clock budget spread best-effort across the whole sweep.
 
@@ -938,8 +938,9 @@ def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-canonical-key search budget; a key whose search exceeds it "
-            "reports outcome 'timeout' instead of blocking everything behind it"
+            "per-problem budget covering canonicalization and search; a problem "
+            "that exceeds it reports outcome 'timeout' instead of blocking "
+            "everything behind it"
         ),
     )
 

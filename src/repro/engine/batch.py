@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..core.cancellation import SearchInterrupted
+from ..core.cancellation import CancelToken, SearchInterrupted, cancel_scope
 from ..core.complexity import ClassificationResult
 from ..core.problem import LCLProblem
 from ..workers.backends import WorkerBackend, create_backend
@@ -62,10 +62,12 @@ class BatchItem:
     whose deadline expired or that was cancelled yields ``"timeout"`` or
     ``"cancelled"`` with ``result=None`` — the search was interrupted, so
     there is no (and never will be a cached) answer for it.
+    ``canonical_key`` is ``None`` when the interruption came while the
+    problem was still being canonicalized.
     """
 
     problem: LCLProblem
-    canonical_key: str
+    canonical_key: Optional[str]
     result: Optional[ClassificationResult]
     from_cache: bool
     elapsed_seconds: float = 0.0
@@ -119,6 +121,42 @@ def _key_counts(forms: Iterable[CanonicalForm]) -> Dict[str, int]:
     return counts
 
 
+def _canonicalize(
+    problem: LCLProblem, deadline: Optional[float]
+) -> Tuple[Optional[CanonicalForm], Optional[CancelToken], str]:
+    """Canonicalize ``problem`` within a ``deadline`` budget in seconds.
+
+    Returns ``(form, token, "ok")`` — ``token`` carries the budget and is
+    ``None`` without one — or ``(None, None, outcome)`` when the cancel scope
+    tripped first, with ``outcome`` ``"timeout"`` or ``"cancelled"``.
+    """
+    try:
+        if deadline is None:  # the common case: skip the scope's set-up
+            return canonical_form(problem), None, OUTCOME_OK
+        token = CancelToken.with_budget(deadline)
+        with cancel_scope(token):
+            return canonical_form(problem), token, OUTCOME_OK
+    except SearchInterrupted as interrupted:
+        return None, None, interrupted.outcome
+
+
+def _unspent(token: Optional[CancelToken]) -> Optional[float]:
+    """The budget left for the scheduler after canonicalizing under ``token``."""
+    return token.remaining() if token is not None else None
+
+
+def _interrupted_item(
+    problem: LCLProblem, key: Optional[str], outcome: str
+) -> BatchItem:
+    return BatchItem(
+        problem=problem,
+        canonical_key=key,
+        result=None,
+        from_cache=False,
+        outcome=outcome,
+    )
+
+
 def _item_from_payload(
     form: CanonicalForm, payload: Mapping[str, Any], from_cache: bool
 ) -> BatchItem:
@@ -144,36 +182,38 @@ class PendingClassification:
     ``outcome`` is ``"timeout"``/``"cancelled"`` and whose ``result`` is
     ``None``, so batch consumers can stream partial failures item by item.
     Genuine search errors still propagate as exceptions.
+
+    ``form`` and ``job`` are ``None`` when canonicalization itself was
+    interrupted: there was no key to look up or schedule, and ``outcome``
+    says why.
     """
 
-    form: CanonicalForm
-    job: ClassificationJob
+    problem: LCLProblem
+    form: Optional[CanonicalForm]
+    job: Optional[ClassificationJob]
+    outcome: str = OUTCOME_OK
 
     @property
     def done(self) -> bool:
-        return self.job.done
+        return self.job is None or self.job.done
 
     @property
     def from_cache(self) -> bool:
         """Whether this submission was answered without starting a search."""
-        return self.job.kind != JOB_SCHEDULED
+        return self.job is not None and self.job.kind != JOB_SCHEDULED
 
     def cancel(self) -> bool:
         """Detach this submission from its search (see ``ClassificationJob``)."""
-        return self.job.cancel()
+        return self.job is not None and self.job.cancel()
 
     def result(self, timeout: Optional[float] = None) -> BatchItem:
         """Block until classified; raise what the search raised on failure."""
+        if self.job is None:
+            return _interrupted_item(self.problem, None, self.outcome)
         try:
             payload = self.job.result(timeout=timeout)
         except SearchInterrupted as interrupted:
-            return BatchItem(
-                problem=self.form.problem,
-                canonical_key=self.form.key,
-                result=None,
-                from_cache=False,
-                outcome=interrupted.outcome,
-            )
+            return _interrupted_item(self.problem, self.form.key, interrupted.outcome)
         return _item_from_payload(self.form, payload, from_cache=self.from_cache)
 
 
@@ -275,21 +315,27 @@ class BatchClassifier:
         The search (if one is needed) starts on the worker backend as soon
         as the scheduler admits it (ordered by ``priority``); concurrent
         submissions of the same renaming orbit share it.  ``deadline`` bounds
-        this submission's total wait in seconds — on expiry the resulting
-        :class:`BatchItem` reports ``outcome="timeout"``.  ``trace`` (a
+        this submission's total time in seconds, canonicalization included —
+        on expiry the resulting :class:`BatchItem` reports
+        ``outcome="timeout"``; when it expires during canonicalization the
+        cache is never consulted and no search starts.  ``trace`` (a
         :class:`~repro.obs.trace.RequestTrace`, or the common ``None``)
         receives the scheduler's span events for this submission.  Call
         :meth:`PendingClassification.result` to collect the translated item.
         """
-        form = canonical_form(problem)
+        form, token, outcome = _canonicalize(problem, deadline)
+        if form is None:
+            with self._stats_lock:
+                self.stats.submitted += 1
+            return PendingClassification(problem, None, None, outcome)
         job = self.scheduler.submit(
-            form, priority=priority, deadline=deadline, trace=trace
+            form, priority=priority, deadline=_unspent(token), trace=trace
         )
         with self._stats_lock:
             self.stats.submitted += 1
             if job.kind == JOB_SCHEDULED:
                 self.stats.full_searches += 1
-        return PendingClassification(form=form, job=job)
+        return PendingClassification(problem, form, job)
 
     # ------------------------------------------------------------------
     # Batch interface
@@ -305,26 +351,33 @@ class BatchClassifier:
         Results are returned in submission order.  Representatives missing
         from the cache are all scheduled up front, so with a ``threads`` or
         ``processes`` backend they run concurrently while this call waits.
-        ``deadline`` is a per-key budget in seconds: a representative whose
-        search exceeds it yields items with ``outcome="timeout"`` (for every
-        duplicate of that orbit) while the rest of the batch completes
+        ``deadline`` is a per-problem budget in seconds, canonicalization
+        included: a problem whose canonicalization exceeds it yields a
+        ``"timeout"`` item without a key, and a representative whose search
+        exceeds what is left of it yields ``"timeout"`` items for every
+        duplicate of that orbit, while the rest of the batch completes
         normally.
         """
-        forms = [canonical_form(problem) for problem in problems]
+        problems = list(problems)
+        canonical = [_canonicalize(problem, deadline) for problem in problems]
         with self._stats_lock:
-            self.stats.submitted += len(forms)
+            self.stats.submitted += len(canonical)
 
         # One scheduler submission per *distinct* key: the first occurrence
         # decides hit or miss, duplicates within the batch count as hits.
         # Payloads are captured from the job futures (not re-read from the
         # cache afterwards) so that a tight ``max_entries`` budget evicting
         # entries mid-batch cannot lose answers.
-        first_form_by_key: Dict[str, CanonicalForm] = {}
-        for form in forms:
-            first_form_by_key.setdefault(form.key, form)
+        forms = [form for form, _token, _outcome in canonical if form is not None]
+        first_by_key: Dict[str, Tuple[CanonicalForm, Optional[CancelToken]]] = {}
+        for form, token, _outcome in canonical:
+            if form is not None:
+                first_by_key.setdefault(form.key, (form, token))
         jobs: Dict[str, ClassificationJob] = {
-            key: self.scheduler.submit(form, priority=priority, deadline=deadline)
-            for key, form in first_form_by_key.items()
+            key: self.scheduler.submit(
+                form, priority=priority, deadline=_unspent(token)
+            )
+            for key, (form, token) in first_by_key.items()
         }
         searches = sum(1 for job in jobs.values() if job.kind == JOB_SCHEDULED)
         with self._stats_lock:
@@ -353,17 +406,14 @@ class BatchClassifier:
         fresh_keys = {
             key for key, job in jobs.items() if job.kind == JOB_SCHEDULED
         }
-        for form in forms:
+        for problem, (form, _token, outcome) in zip(problems, canonical):
+            if form is None:
+                items.append(_interrupted_item(problem, None, outcome))
+                continue
             payload = payload_by_key[form.key]
             if payload is None:
                 items.append(
-                    BatchItem(
-                        problem=form.problem,
-                        canonical_key=form.key,
-                        result=None,
-                        from_cache=False,
-                        outcome=outcome_by_key[form.key],
-                    )
+                    _interrupted_item(problem, form.key, outcome_by_key[form.key])
                 )
             else:
                 items.append(

@@ -292,7 +292,8 @@ class ServiceClient:
         Returns the ``done`` summary (count, cache hits/misses, ``hit_rate``,
         ``timeouts``/``cancelled``, lifetime engine stats).  When ``on_item``
         is omitted the collected items are attached to the summary under
-        ``"items"``.  ``deadline_ms`` is a per-canonical-key search budget.
+        ``"items"``.  ``deadline_ms`` is a per-problem budget covering
+        canonicalization and search.
         """
         collected: List[Dict[str, Any]] = []
         callback = on_item if on_item is not None else collected.append

@@ -36,7 +36,8 @@ Version 3 adds deadline-aware priority scheduling and cancellation:
 
 * ``classify``, ``classify_batch``, ``census`` and ``warm`` accept optional
   ``params.priority`` (``"interactive"``/``"batch"``/``"warm"``) and
-  ``params.deadline_ms`` (per-canonical-key search budget) fields;
+  ``params.deadline_ms`` (per-problem budget covering canonicalization
+  and search) fields;
 * a new ``cancel`` operation addresses an *in-flight* request by its id
   (from another connection) and detaches its outstanding searches;
 * item frames (and single ``classify`` results) carry an ``outcome`` field:
