@@ -15,7 +15,8 @@ endpoints travel well through CLIs, env vars, and config files:
 ``tcp://host:port?retries=20``
     A running ``python -m repro serve`` service over TCP.
 ``stdio:``
-    A private ``python -m repro serve --stdio`` subprocess over its pipes.
+    A private ``python -m repro serve stdio:`` subprocess over its pipes;
+    the session hands it its own endpoint URL, cache parameters included.
 
 Cache query parameters (shared by every mode — on ``tcp`` they configure
 the *server* when the endpoint is handed to ``repro serve``):
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl, quote, urlsplit
 
 from ..engine.backends import parse_cache_url
 from ..workers.backends import BACKEND_NAMES
@@ -198,7 +199,11 @@ class SessionConfig:
             query["obs"] = 0
         if not query:
             return base
-        encoded = "&".join(f"{key}={value}" for key, value in query.items())
+        # Quoted so any cache path survives the round trip through
+        # parse_endpoint (a stdio: session hands this URL to `repro serve`).
+        encoded = "&".join(
+            f"{key}={quote(str(value), safe='/:')}" for key, value in query.items()
+        )
         return f"{base}?{encoded}"
 
     @classmethod

@@ -11,8 +11,11 @@ two result shapes that grew over the first four PRs:
 
 ``Outcome.as_dict()`` emits exactly the protocol item shape and
 ``Outcome.from_payload()`` reads it back, so a classification serializes
-identically on every path — the endpoint parity tests compare these dicts
-field by field across ``local://`` and ``tcp://`` sessions.
+identically on every path — the service writes its item frames with it, and
+the endpoint parity tests compare these dicts field by field across
+``local://`` and ``tcp://`` sessions.  :func:`summarize_outcomes` and
+:func:`tally_outcomes` are the one source of a batch/census ``done`` summary,
+for the service and the CLI alike.
 
 ``outcome`` is one of :data:`OUTCOMES`: ``"ok"`` (the classification exists),
 ``"timeout"``/``"cancelled"`` (the search was interrupted; ``result`` is
@@ -25,7 +28,7 @@ prefer exceptions call :meth:`Outcome.require` and get the unified
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..core.complexity import ClassificationResult
 from ..core.problem import LCLProblem
@@ -101,9 +104,8 @@ class Outcome:
     def as_dict(self) -> Dict[str, Any]:
         """The protocol item payload of this outcome (JSON-friendly).
 
-        Matches :func:`repro.service.server.item_payload` exactly, which a
-        unit test asserts — the wire shape and the facade shape must never
-        drift apart.
+        The service writes its ``item``/``classify`` frames with this very
+        method, so the wire shape and the facade shape cannot drift apart.
         """
         payload: Dict[str, Any] = {
             "name": self.name,
@@ -168,6 +170,38 @@ class Outcome:
         )
 
 
+def summarize_outcomes(outcomes: Sequence[Outcome]) -> Dict[str, Any]:
+    """The stream summary (hit/miss/interruption tallies) of a batch or census.
+
+    The service's ``done`` frame and the CLI's summaries both come from
+    here.  Completed items are the one denominator: interrupted items are
+    neither hits nor misses, so ``cache_hits + cache_misses`` equals the
+    completed count and ``hit_rate`` is hits over completed.
+    """
+    count = len(outcomes)
+    timeouts = sum(1 for outcome in outcomes if outcome.outcome == OUTCOME_TIMEOUT)
+    cancelled = sum(1 for outcome in outcomes if outcome.outcome == OUTCOME_CANCELLED)
+    completed = count - timeouts - cancelled
+    hits = sum(1 for outcome in outcomes if outcome.ok and outcome.from_cache)
+    return {
+        "count": count,
+        "cache_hits": hits,
+        "cache_misses": completed - hits,
+        "hit_rate": hits / completed if completed else 0.0,
+        "timeouts": timeouts,
+        "cancelled": cancelled,
+    }
+
+
+def tally_outcomes(outcomes: Sequence[Outcome]) -> Dict[str, int]:
+    """Census tally: complexity class per completed item, outcome otherwise."""
+    counts: Dict[str, int] = {}
+    for outcome in outcomes:
+        value = outcome.complexity if outcome.ok else outcome.outcome
+        counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
 __all__ = [
     "OUTCOMES",
     "OUTCOME_CANCELLED",
@@ -175,4 +209,6 @@ __all__ = [
     "OUTCOME_OK",
     "OUTCOME_TIMEOUT",
     "Outcome",
+    "summarize_outcomes",
+    "tally_outcomes",
 ]

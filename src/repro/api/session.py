@@ -17,12 +17,14 @@ Every call returns :class:`~repro.api.outcome.Outcome` objects with the same
 fields on every endpoint, and every failure raises the unified
 :mod:`repro.api.errors` hierarchy; the endpoint parity tests assert both.
 
-Two interchangeable drivers implement the surface: ``_LocalDriver`` owns a
-:class:`~repro.engine.batch.BatchClassifier` (and therefore a scheduler and
-cache), ``_RemoteDriver`` owns a :class:`~repro.service.client.ServiceClient`
-connection.  The session itself only resolves problems, applies the
-config's scheduling defaults, and validates request shape *before* dispatch
-— which is what makes local and remote error messages literally equal.
+Two interchangeable drivers implement the surface.  :class:`LocalDriver`
+owns a :class:`~repro.engine.batch.BatchClassifier` (and therefore a
+scheduler and cache), the tracer and the metrics registry; ``_RemoteDriver``
+owns a :class:`~repro.service.client.ServiceClient` connection.  The service
+on the other end of that connection hosts a :class:`LocalDriver` of its own
+and validates requests with the functions below (:func:`resolve_problem`,
+:func:`census_problems`, :func:`validate_priority`), so a remote request
+runs the local path and fails with literally the same error.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from typing import (
     Union,
 )
 
-from ..core.cancellation import SearchInterrupted
 from ..core.parser import parse_problem
 from ..core.problem import LCLError, LCLProblem
 from ..engine.batch import BatchClassifier, PendingClassification
@@ -76,9 +77,9 @@ paper-notation text, or a serialized problem dict."""
 def resolve_problem(spec: ProblemSpec, default_name: str = "<session>") -> LCLProblem:
     """Turn any accepted problem spec into an :class:`LCLProblem`.
 
-    Mirrors the service's validation (including its message shape,
-    ``bad problem: ...``) so a malformed spec fails identically on every
-    endpoint — it is rejected *here*, before any dispatch.
+    The one problem resolver: sessions call it before any dispatch and the
+    service calls it on every spec it decodes, so a malformed spec fails
+    with the same :class:`ProblemFormatError` on every endpoint.
     """
     try:
         if isinstance(spec, LCLProblem):
@@ -98,8 +99,8 @@ def resolve_problem(spec: ProblemSpec, default_name: str = "<session>") -> LCLPr
 def validate_census_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate a census parameter object; return its normalized echo form.
 
-    The same validation (and the same messages) as the service's ``census``/
-    ``warm`` handlers, applied client-side before any dispatch.
+    Sessions apply it before any dispatch, and the service's ``census``/
+    ``warm`` handlers apply it through :func:`census_problems`.
     """
     try:
         labels = int(params.get("labels", 2))
@@ -123,11 +124,9 @@ def validate_census_params(params: Mapping[str, Any]) -> Dict[str, Any]:
 def census_problems(params: Mapping[str, Any]) -> Tuple[List[LCLProblem], Dict[str, Any]]:
     """A census's problem list from its parameter object, plus the echo.
 
-    The same generation as the service's ``census``/``warm`` handlers:
-    ``seed + index`` per draw, so a local census and a remote census of
-    equal parameters classify identical problems.  Remote drivers skip this
-    and ship only the (validated) parameter object — the server generates
-    the identical draws itself.
+    The one census generator, ``seed + index`` per draw.  Remote drivers
+    skip it and ship only the (validated) parameter object; the service
+    expands that object with this same function.
     """
     echo = validate_census_params(params)
     problems = [
@@ -140,6 +139,19 @@ def census_problems(params: Mapping[str, Any]) -> Tuple[List[LCLProblem], Dict[s
         for index in range(echo["count"])
     ]
     return problems, echo
+
+
+def validate_priority(priority: Any) -> str:
+    """Return ``priority`` if it names a scheduler class, else raise.
+
+    Sessions check their resolved priority with it and the service checks
+    the wire's ``priority`` field with it, so both reject with one message.
+    """
+    if priority not in PRIORITIES:
+        raise RequestError(
+            f"bad priority {priority!r} (known: {', '.join(PRIORITIES)})"
+        )
+    return priority
 
 
 class PendingOutcome:
@@ -199,89 +211,141 @@ class PendingOutcome:
 # ----------------------------------------------------------------------
 # Local driver
 # ----------------------------------------------------------------------
-class _LocalDriver:
-    """Session driver executing in-process through the batch engine."""
+def open_cache(config: SessionConfig) -> ClassificationCache:
+    """The result cache a configuration describes.
 
-    def __init__(self, config: SessionConfig) -> None:
-        cache: Optional[ClassificationCache] = None
-        if (
-            config.cache_path
-            or config.cache_max_entries is not None
-            or config.cache_ttl is not None
-        ):
-            cache = ClassificationCache(
-                path=config.cache_path,
-                max_entries=config.cache_max_entries,
-                ttl_seconds=config.cache_ttl,
-                flush_interval=config.cache_flush_interval,
-                flush_max_dirty=config.cache_flush_count,
-            )
+    One rule for local sessions and ``repro serve``: every cache parameter
+    of the endpoint (``cache``, ``cache_max_entries``, ``cache_ttl``,
+    ``cache_flush_interval``, ``cache_flush_count``) is applied.  With none
+    of them set this is an unbounded in-memory cache.
+    """
+    return ClassificationCache(
+        path=config.cache_path,
+        max_entries=config.cache_max_entries,
+        ttl_seconds=config.cache_ttl,
+        flush_interval=config.cache_flush_interval,
+        flush_max_dirty=config.cache_flush_count,
+    )
+
+
+def _failed(trace: Optional[RequestTrace], error: Exception) -> SessionError:
+    """Close ``trace`` as an error; return ``error`` as a :class:`SessionError`."""
+    if trace is not None:
+        trace.finish("error")
+    if isinstance(error, SessionError):
+        return error
+    internal = InternalError(f"{type(error).__name__}: {error}")
+    internal.__cause__ = error
+    return internal
+
+
+class LocalDriver:
+    """The in-process engine behind local sessions and the service.
+
+    Owns one :class:`~repro.engine.batch.BatchClassifier` (and with it the
+    scheduler and the cache), the env-gated tracer, and the metrics registry
+    built by :func:`~repro.obs.build_registry`.  A ``local://`` session calls
+    it directly; :class:`~repro.service.server.ClassificationService` hosts
+    one and only translates frames into calls on it.
+
+    ``cache`` replaces the config's cache parameters with a ready cache.
+    ``requests_served`` counts front-door requests: a session's
+    classifications count themselves, while the service calls
+    :meth:`count_request` once per decoded request line.
+    """
+
+    def __init__(
+        self, config: SessionConfig, cache: Optional[ClassificationCache] = None
+    ) -> None:
         self.classifier = BatchClassifier(
-            cache=cache, backend=config.backend, workers=config.workers
+            cache=cache if cache is not None else open_cache(config),
+            backend=config.backend,
+            workers=config.workers,
         )
-        # Observability: one env-gated tracer plus one metrics registry per
-        # driver, mirroring exactly what the service wires up — the registry
-        # is built by the same `build_registry`, which is what makes the
-        # local-vs-remote metrics parity structural rather than tested-for.
-        # `obs=0` skips all of it; `self.tracer.start()` then returns None
-        # and every trace branch below is dead.
+        self.cache = self.classifier.cache
+        self.scheduler = self.classifier.scheduler
+        # `obs=0` skips the tracer and the registry; `self.tracer.start()`
+        # then returns None and every trace branch below is dead.
         self._obs = config.obs
         self.tracer = Tracer.from_env() if config.obs else DISABLED_TRACER
-        self._served = 0
+        self.requests_served = 0
         self._served_lock = threading.Lock()
-        self._started_at = time.time()
+        self.started_at = time.monotonic()
         self.registry = (
             build_registry(
                 self.classifier,
                 self.tracer,
-                lambda: self._served,
-                self._started_at,
+                lambda: self.requests_served,
+                self.started_at,
             )
             if config.obs
             else None
         )
 
-    def _start_trace(self, op: str) -> Optional[RequestTrace]:
+    def count_request(self) -> None:
         with self._served_lock:
-            self._served += 1
+            self.requests_served += 1
+
+    def _start_trace(self, op: str) -> Optional[RequestTrace]:
+        self.count_request()
         return self.tracer.start(op)
 
-    def _resolve(
+    # ------------------------------------------------------------------
+    # The two halves of every classification
+    # ------------------------------------------------------------------
+    def submit_item(
+        self,
+        problem: LCLProblem,
+        priority: str,
+        deadline: Optional[float],
+        trace: Optional[RequestTrace] = None,
+    ) -> PendingClassification:
+        """Submit ``problem`` without waiting; :meth:`resolve` collects it."""
+        try:
+            return self.classifier.submit_item(
+                problem, priority=priority, deadline=deadline, trace=trace
+            )
+        except Exception as error:  # noqa: BLE001 - one internal-error surface
+            raise _failed(trace, error)
+
+    def resolve(
         self,
         pending: PendingClassification,
         trace: Optional[RequestTrace] = None,
+        timeout: Optional[float] = None,
     ) -> Outcome:
+        """Wait for ``pending`` (at most ``timeout`` s), finish ``trace``."""
         try:
-            item = pending.result()
-        except SearchInterrupted:  # pragma: no cover - normally pre-converted
-            if trace is not None:
-                trace.finish("error")
-            raise
-        except SessionError:
-            if trace is not None:
-                trace.finish("error")
+            item = pending.result(timeout=timeout)
+        except FuturesTimeoutError:
+            # "Not ready within the wait" is not an engine failure: let the
+            # standard TimeoutError through, identically to remote pendings.
+            # The submission (and its trace) keeps running — don't finish.
             raise
         except Exception as error:  # noqa: BLE001 - one internal-error surface
-            if trace is not None:
-                trace.finish("error")
-            raise InternalError(f"{type(error).__name__}: {error}") from error
+            raise _failed(trace, error)
         if trace is not None:
             trace.finish(item.outcome)
         return Outcome.from_batch_item(
             item, request_id=trace.request_id if trace is not None else None
         )
 
+    # ------------------------------------------------------------------
+    # Session surface
+    # ------------------------------------------------------------------
+    def classify(
+        self, problem: LCLProblem, priority: str, deadline: Optional[float]
+    ) -> Outcome:
+        trace = self._start_trace("classify")
+        return self.resolve(self.submit_item(problem, priority, deadline, trace), trace)
+
     def submit(
         self, problem: LCLProblem, priority: str, deadline: Optional[float]
     ) -> PendingOutcome:
         trace = self._start_trace("submit")
-        pending = self.classifier.submit_item(
-            problem, priority=priority, deadline=deadline, trace=trace
-        )
+        pending = self.submit_item(problem, priority, deadline, trace)
         return PendingOutcome(
-            result=lambda timeout=None: self._resolve_with_timeout(
-                pending, timeout, trace
-            ),
+            result=lambda timeout=None: self.resolve(pending, trace, timeout),
             done=lambda: pending.done,
             cancel=lambda: self._cancel_pending(pending, trace),
             request_id=trace.request_id if trace is not None else None,
@@ -299,42 +363,6 @@ class _LocalDriver:
             trace.finish("cancelled")
         return detached
 
-    def _resolve_with_timeout(
-        self,
-        pending: PendingClassification,
-        timeout: Optional[float],
-        trace: Optional[RequestTrace] = None,
-    ) -> Outcome:
-        try:
-            item = pending.result(timeout=timeout)
-        except FuturesTimeoutError:
-            # "Not ready within the wait" is not an engine failure: let the
-            # standard TimeoutError through, identically to remote pendings.
-            # The submission (and its trace) keeps running — don't finish.
-            raise
-        except SessionError:
-            if trace is not None:
-                trace.finish("error")
-            raise
-        except Exception as error:  # noqa: BLE001
-            if trace is not None:
-                trace.finish("error")
-            raise InternalError(f"{type(error).__name__}: {error}") from error
-        if trace is not None:
-            trace.finish(item.outcome)
-        return Outcome.from_batch_item(
-            item, request_id=trace.request_id if trace is not None else None
-        )
-
-    def classify(
-        self, problem: LCLProblem, priority: str, deadline: Optional[float]
-    ) -> Outcome:
-        trace = self._start_trace("classify")
-        pending = self.classifier.submit_item(
-            problem, priority=priority, deadline=deadline, trace=trace
-        )
-        return self._resolve(pending, trace)
-
     def iter_outcomes(
         self,
         problems: Sequence[LCLProblem],
@@ -348,19 +376,9 @@ class _LocalDriver:
         for problem in problems:
             trace = self._start_trace("classify_batch")
             submissions.append(
-                (
-                    self.classifier.submit_item(
-                        problem, priority=priority, deadline=deadline, trace=trace
-                    ),
-                    trace,
-                )
+                (self.submit_item(problem, priority, deadline, trace), trace)
             )
-
-        def generate() -> Iterator[Outcome]:
-            for pending, trace in submissions:
-                yield self._resolve(pending, trace)
-
-        return generate()
+        return (self.resolve(pending, trace) for pending, trace in submissions)
 
     def warm(
         self,
@@ -376,7 +394,7 @@ class _LocalDriver:
             census_list, _echo = census_problems(census)
             workload.extend(census_list)
         forms = [canonical_form(problem) for problem in workload]
-        summary = self.classifier.scheduler.warm(
+        summary = self.scheduler.warm(
             forms, wait=wait, priority=priority, deadline=deadline, budget=budget
         )
         summary["count"] = len(workload)
@@ -384,11 +402,14 @@ class _LocalDriver:
 
     def stats(self) -> Dict[str, Any]:
         payload = {
-            # cache.info() is the one source of the cache-section shape, so
-            # local and remote stats expose identical fields by construction.
-            "cache": self.classifier.cache.info(),
+            "service": {
+                "requests_served": self.requests_served,
+                "uptime_seconds": time.monotonic() - self.started_at,
+            },
+            # cache.info() is the one source of the cache-section shape.
+            "cache": self.cache.info(),
             "batch": self.classifier.stats.as_dict(),
-            "workers": self.classifier.scheduler.stats_payload(),
+            "workers": self.scheduler.stats_payload(),
         }
         if self._obs:
             payload["trace"] = self.tracer.as_dict()
@@ -425,11 +446,12 @@ class _LocalDriver:
         )
 
     def close(self) -> None:
-        cache = self.classifier.cache
+        # close() drains in-flight searches (a background warm, say) into
+        # the cache first; cache.close() then persists everything
+        # outstanding (a full snapshot when a durable path is configured)
+        # and stops the write-behind flusher, so shutdown loses nothing.
         self.classifier.close()
-        # cache.close() persists everything outstanding (full snapshot when
-        # a durable path is configured) and stops the write-behind flusher.
-        cache.close()
+        self.cache.close()
         self.tracer.close()
 
 
@@ -459,10 +481,7 @@ class _RemoteDriver:
                     config.host, config.port, retries=config.retries
                 )
             else:
-                self.client = ServiceClient.spawn_stdio(
-                    cache=config.cache_path,
-                    cache_max_entries=config.cache_max_entries,
-                )
+                self.client = ServiceClient.spawn_stdio(config.endpoint())
         except OSError as error:
             raise TransportError(
                 f"cannot reach service at {config.endpoint()}: {error}"
@@ -695,7 +714,7 @@ class ClassificationSession:
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
         if config.mode == MODE_LOCAL:
-            self._driver: Union[_LocalDriver, _RemoteDriver] = _LocalDriver(config)
+            self._driver: Union[LocalDriver, _RemoteDriver] = LocalDriver(config)
         else:
             self._driver = _RemoteDriver(config)
         self._closed = False
@@ -737,11 +756,9 @@ class ClassificationSession:
         self, priority: Optional[str], deadline: Optional[float], op_default: str
     ) -> Tuple[str, Optional[float]]:
         """Apply config defaults and validate — before any dispatch."""
-        priority = priority or self.config.default_priority or op_default
-        if priority not in PRIORITIES:
-            raise RequestError(
-                f"bad priority {priority!r} (known: {', '.join(PRIORITIES)})"
-            )
+        priority = validate_priority(
+            priority or self.config.default_priority or op_default
+        )
         if deadline is None:
             deadline = self.config.default_deadline
         if deadline is not None and deadline <= 0:
@@ -882,12 +899,14 @@ class ClassificationSession:
     # Introspection / control
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Uniform statistics: ``cache``, ``batch``, and ``workers`` sections.
+        """Uniform statistics: ``service``, ``cache``, ``batch``, ``workers``.
 
         The ``workers`` section includes the scheduler's ``search_times``
-        histogram, which is how operators pick deadlines from data.  Remote
-        sessions additionally carry the server's ``service`` section.  The
-        session's own endpoint is echoed under ``endpoint``.
+        histogram, which is how operators pick deadlines from data.  The
+        ``service`` section counts the front door's requests and uptime (on
+        a remote session, the server's).  A ``trace`` section is present
+        unless observability is off.  The session's own endpoint is echoed
+        under ``endpoint``.
         """
         payload = self._driver.stats()
         payload["endpoint"] = self.endpoint
@@ -957,10 +976,13 @@ def connect(
 
 __all__ = [
     "ClassificationSession",
+    "LocalDriver",
     "PendingOutcome",
     "ProblemSpec",
     "census_problems",
     "connect",
+    "open_cache",
     "resolve_problem",
     "validate_census_params",
+    "validate_priority",
 ]

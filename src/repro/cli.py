@@ -69,7 +69,7 @@ import glob
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .api import (
     ClassificationSession,
@@ -79,6 +79,8 @@ from .api import (
     parse_endpoint,
 )
 from .api.config import MODE_STDIO, MODE_TCP
+from .api.outcome import summarize_outcomes, tally_outcomes
+from .api.session import open_cache
 from .core.classifier import classify_with_certificates
 from .core.parser import parse_problem
 from .core.problem import LCLError, LCLProblem
@@ -210,28 +212,6 @@ def _print_item_line(item: Dict[str, Any]) -> None:
     print(f"[{origin}] {item['name']:28s} {item['complexity']:16s}", flush=True)
 
 
-def _summarize_outcomes(outcomes: Sequence[Outcome]) -> Dict[str, Any]:
-    """The stream summary (hit/miss/interruption tallies) of a batch.
-
-    Computed from the same item fields the service's ``done`` frame is
-    computed from, so local and remote runs summarize identically: completed
-    items are the one denominator (hits + misses == completed).
-    """
-    count = len(outcomes)
-    timeouts = sum(1 for outcome in outcomes if outcome.outcome == "timeout")
-    cancelled = sum(1 for outcome in outcomes if outcome.outcome == "cancelled")
-    completed = count - timeouts - cancelled
-    hits = sum(1 for outcome in outcomes if outcome.ok and outcome.from_cache)
-    return {
-        "count": count,
-        "cache_hits": hits,
-        "cache_misses": completed - hits,
-        "hit_rate": hits / completed if completed else 0.0,
-        "timeouts": timeouts,
-        "cancelled": cancelled,
-    }
-
-
 def _print_stream_summary(summary: Dict[str, Any]) -> None:
     interrupted = summary.get("timeouts", 0) + summary.get("cancelled", 0)
     suffix = f", {interrupted} timed out/cancelled" if interrupted else ""
@@ -240,15 +220,6 @@ def _print_stream_summary(summary: Dict[str, Any]) -> None:
         f"{summary['cache_misses']} miss(es) (hit rate {summary['hit_rate']:.0%})"
         f"{suffix}"
     )
-
-
-def _tally_counts(outcomes: Sequence[Outcome]) -> Dict[str, int]:
-    """Census tally: complexity class per completed item, outcome otherwise."""
-    counts: Dict[str, int] = {}
-    for outcome in outcomes:
-        value = outcome.complexity if outcome.ok else outcome.outcome
-        counts[value] = counts.get(value, 0) + 1
-    return counts
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +352,7 @@ def _run_census(args: argparse.Namespace) -> int:
             )
         )
         stats = session.stats()
-    counts = _tally_counts(outcomes)
+    counts = tally_outcomes(outcomes)
     if args.json:
         payload = {"params": params, "counts": counts, "stats": stats}
         print(json.dumps(payload, indent=2))
@@ -675,17 +646,8 @@ def _serve_settings(args: argparse.Namespace) -> argparse.Namespace:
 
 def _run_serve(args: argparse.Namespace) -> int:
     args = _serve_settings(args)
-    cache = None
-    if args.cache or args.cache_max_entries is not None:
-        cache = ClassificationCache(
-            path=args.cache,
-            max_entries=args.cache_max_entries,
-            ttl_seconds=args.cache_ttl,
-            flush_interval=args.cache_flush_interval,
-            flush_max_dirty=args.cache_flush_count,
-        )
     service = ClassificationService(
-        cache=cache,
+        cache=open_cache(_local_config(args)),
         backend=args.worker_backend,
         workers=args.workers,
     )
@@ -749,7 +711,7 @@ def _client_batch(args: argparse.Namespace, session: ClassificationSession) -> i
         for outcome in stream:
             _print_item_line(outcome.as_dict())
             outcomes.append(outcome)
-    summary = _summarize_outcomes(outcomes)
+    summary = summarize_outcomes(outcomes)
     summary["stats"] = session.stats()
     if args.json:
         items = [outcome.as_dict() for outcome in outcomes]
@@ -768,8 +730,8 @@ def _client_census(args: argparse.Namespace, session: ClassificationSession) -> 
         if not args.json:
             _print_item_line(outcome.as_dict())
         outcomes.append(outcome)
-    summary = _summarize_outcomes(outcomes)
-    summary["counts"] = _tally_counts(outcomes)
+    summary = summarize_outcomes(outcomes)
+    summary["counts"] = tally_outcomes(outcomes)
     summary["params"] = _census_params(args)
     summary["stats"] = session.stats()
     if args.json:

@@ -7,7 +7,7 @@
   ``python -m repro serve --host ... --port ...`` (with optional connect
   retries, so supervised services can be raced safely), or
 * :meth:`ServiceClient.spawn_stdio` — spawn a private
-  ``python -m repro serve --stdio`` subprocess and talk over its pipes,
+  ``python -m repro serve stdio:`` subprocess and talk over its pipes,
   which gives scripts a self-contained service whose cache file still
   persists across spawns.
 
@@ -102,23 +102,18 @@ class ServiceClient:
 
     @classmethod
     def spawn_stdio(
-        cls,
-        *,
-        cache: Optional[str] = None,
-        cache_max_entries: Optional[int] = None,
-        python: str = sys.executable,
+        cls, endpoint: str = "stdio:", *, python: str = sys.executable
     ) -> "ServiceClient":
-        """Spawn ``python -m repro serve --stdio`` and connect to its pipes.
+        """Spawn ``python -m repro serve ENDPOINT`` and connect to its pipes.
 
-        The subprocess inherits the environment with ``PYTHONPATH`` extended
-        so the *current* ``repro`` package is importable even when it has not
-        been installed (the repo's ``src`` layout).
+        ``endpoint`` is a ``stdio:`` URL; its query parameters configure the
+        service's cache exactly as for ``repro serve``
+        (``stdio:?cache=sqlite:c.db&cache_ttl=60``).  The subprocess inherits
+        the environment with ``PYTHONPATH`` extended so the *current*
+        ``repro`` package is importable even when it has not been installed
+        (the repo's ``src`` layout).
         """
-        argv: List[str] = [python, "-m", "repro", "serve", "--stdio"]
-        if cache:
-            argv += ["--cache", cache]
-        if cache_max_entries is not None:
-            argv += ["--cache-max-entries", str(cache_max_entries)]
+        argv: List[str] = [python, "-m", "repro", "serve", endpoint]
         package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")

@@ -92,10 +92,6 @@ class ProtocolError(ValueError):
         self.code = code
         self.message = message
 
-    def as_error_object(self) -> Dict[str, str]:
-        """The ``{"code", "message"}`` object embedded in error frames."""
-        return {"code": self.code, "message": self.message}
-
 
 @dataclass(frozen=True)
 class Request:
@@ -186,9 +182,18 @@ def result_frame(request_id: Any, data: Mapping[str, Any]) -> Dict[str, Any]:
     return {"id": request_id, "type": "result", "data": dict(data)}
 
 
-def error_frame(request_id: Any, error: ProtocolError) -> Dict[str, Any]:
-    """A terminal error response for one request."""
-    return {"id": request_id, "type": "error", "error": error.as_error_object()}
+def error_frame(request_id: Any, error: Any) -> Dict[str, Any]:
+    """A terminal error response for one request.
+
+    ``error`` is anything with a ``code`` and a ``message``: a
+    :class:`ProtocolError`, or the :class:`~repro.api.errors.SessionError`
+    a request handler raised (its codes are the wire's codes).
+    """
+    return {
+        "id": request_id,
+        "type": "error",
+        "error": {"code": error.code, "message": error.message},
+    }
 
 
 def is_terminal_frame(frame: Mapping[str, Any]) -> bool:

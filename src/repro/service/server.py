@@ -1,9 +1,17 @@
-"""The asyncio classification service: one shared cache, streaming responses.
+"""The asyncio classification service: a wire codec over one local driver.
 
-:class:`ClassificationService` wraps one :class:`~repro.engine.BatchClassifier`
-(and therefore one :class:`~repro.engine.cache.ClassificationCache`) behind
-the JSON-lines protocol of :mod:`repro.service.protocol`.  Two transports
-speak the identical protocol:
+:class:`ClassificationService` hosts one :class:`~repro.api.session.LocalDriver`
+— the engine a ``local://`` session runs: the batch classifier with its
+shared cache and scheduler, the tracer, and the metrics registry — and only
+translates the JSON-lines frames of :mod:`repro.service.protocol` into calls
+on it.  Problems are resolved by :func:`~repro.api.session.resolve_problem`,
+censuses generated by :func:`~repro.api.session.census_problems`, priorities
+checked by :func:`~repro.api.session.validate_priority`, and summaries
+computed by :func:`~repro.api.outcome.summarize_outcomes`, exactly as for a
+local session; a :class:`~repro.api.errors.SessionError` becomes an error
+frame carrying its own code.  So a ``tcp://`` request answers and fails like
+a ``local://`` one by construction.  Two transports speak the identical
+protocol:
 
 * **stdio** (:meth:`ClassificationService.serve_stdio`) — one connection on
   stdin/stdout, for supervisors and piping (``python -m repro serve --stdio``),
@@ -13,33 +21,32 @@ speak the identical protocol:
 Batch and census requests *stream*: every classified problem is written as an
 ``item`` frame the moment its certificate search (or cache hit) completes,
 followed by a terminal ``done`` frame with the request summary.  All searches
-execute through the single-flight :class:`~repro.workers.ClassificationScheduler`
-on a configurable worker backend (``--worker-backend inline|threads|processes``,
-``--workers N``): a batch's uncached representatives are fanned out up front
-and frames stream as each future resolves, independent problems from
-concurrent connections classify concurrently, and concurrent requests for the
-same uncached canonical key share exactly one search.  The process-wide work
-lock of protocol version 1 is gone — the cache and scheduler synchronize
-internally.  The ``warm`` operation pre-schedules a future batch or census's
-canonical keys so the shared cache is hot before the real request arrives.
+execute through the driver's single-flight
+:class:`~repro.workers.ClassificationScheduler` on a configurable worker
+backend (``--worker-backend inline|threads|processes``, ``--workers N``): a
+batch's uncached representatives are fanned out up front and frames stream
+as each future resolves, independent problems from concurrent connections
+classify concurrently, and concurrent requests for the same uncached
+canonical key share exactly one search.  The ``warm`` operation pre-schedules
+a future batch or census's canonical keys so the shared cache is hot before
+the real request arrives.
 
 Protocol version 3 exposes the scheduler's fairness controls: every
 scheduling operation accepts ``priority`` (``interactive`` > ``batch`` >
 ``warm``; per-op defaults match those classes) and ``deadline_ms`` (a per-
-canonical-key search budget — blown budgets stream as ``outcome: "timeout"``
-items instead of stalling the request), and the ``cancel`` operation detaches
-an in-flight request's searches when addressed — from a second connection —
-by its request id.  Interrupted searches release their workers and are never
-written to the cache.
+problem budget covering canonicalization and search — blown budgets stream
+as ``outcome: "timeout"`` items instead of stalling the request), and the
+``cancel`` operation detaches an in-flight request's searches when addressed
+— from a second connection — by its request id.  Interrupted searches
+release their workers and are never written to the cache.
 When the cache has a durable backend (a bare/``json:`` path or a
 ``sqlite:`` database — see :mod:`repro.engine.backends`) persistence is
 **write-behind**: stores mark keys dirty and a background flusher persists
 them once an interval elapses or enough keys are pending
 (``DEFAULT_CACHE_FLUSH_INTERVAL`` / ``DEFAULT_CACHE_FLUSH_MAX_DIRTY``,
 overridable via ``cache_flush_interval``/``cache_flush_count`` endpoint
-parameters).  Mutating requests therefore no longer rewrite the whole file;
-shutdown still persists a final full snapshot, so a killed service loses at
-most the not-yet-flushed increment.
+parameters).  Shutdown persists a final full snapshot, so a killed service
+loses at most the not-yet-flushed increment.
 
 :class:`ThreadedService` runs the TCP variant on a background thread of the
 current process — the embedding used by ``tests/test_service.py`` and the
@@ -51,24 +58,33 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-import time
 from typing import Any, Awaitable, Callable, Dict, IO, List, Mapping, Optional, Tuple
 
-from ..core.parser import parse_problem
-from ..core.problem import LCLError, LCLProblem
-from ..engine.batch import BatchClassifier, BatchItem, PendingClassification
+from ..api.config import SessionConfig
+from ..api.errors import InternalError, RequestError, SessionError
+from ..api.outcome import (
+    OUTCOME_CANCELLED,
+    Outcome,
+    summarize_outcomes,
+    tally_outcomes,
+)
+from ..api.session import (
+    LocalDriver,
+    census_problems,
+    resolve_problem,
+    validate_priority,
+)
+from ..core.problem import LCLProblem
+from ..engine.batch import PendingClassification
 from ..engine.cache import ClassificationCache
 from ..engine.canonical import canonical_form
-from ..engine.serialization import problem_from_dict, result_to_dict
-from ..obs import build_registry, render_prometheus
-from ..obs.trace import RequestTrace, Tracer, new_request_id
-from ..problems.random_problems import random_problem
+
+# Unused here since problems resolve through `resolve_problem`, but kept
+# bound: perfbench/layers.py wraps `problem_from_dict` at this attribute.
+from ..engine.serialization import problem_from_dict  # noqa: F401
+from ..obs.trace import RequestTrace, new_request_id
 from ..workers.backends import DEFAULT_WORKERS
-from ..workers.scheduler import PRIORITIES
 from .protocol import (
-    ERROR_BAD_PROBLEM,
-    ERROR_BAD_REQUEST,
-    ERROR_INTERNAL,
     ProtocolError,
     Request,
     decode_frame,
@@ -93,34 +109,43 @@ DEFAULT_CACHE_FLUSH_MAX_DIRTY = 64
 _SendFrame = Callable[[Dict[str, Any]], Awaitable[None]]
 
 
-def item_payload(item: BatchItem) -> Dict[str, Any]:
-    """The JSON-friendly ``data`` object of one classified problem.
+def _milliseconds(
+    params: Mapping[str, Any], field: str, positive: bool
+) -> Optional[float]:
+    """Validate an optional ``*_ms`` parameter; return it in seconds."""
+    value = params.get(field)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RequestError(f"{field} must be a number")
+    if value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise RequestError(f"{field} must be {bound}")
+    return value / 1000.0
 
-    An interrupted search (``outcome`` of ``"timeout"``/``"cancelled"``)
-    yields a *timeout item frame*: same shape, ``complexity``/``details``/
-    ``result`` are ``None`` — the classification does not exist.
+
+def _request_options(
+    params: Mapping[str, Any], default_priority: str
+) -> Tuple[str, Optional[float]]:
+    """The protocol-v3 ``priority``/``deadline_ms`` fields as ``(priority, seconds)``.
+
+    Omitted fields fall back to the operation's default priority and no
+    deadline — the exact protocol-v2 behavior.
     """
-    if not item.ok:
-        return {
-            "name": item.problem.name,
-            "outcome": item.outcome,
-            "complexity": None,
-            "details": None,
-            "from_cache": False,
-            "canonical_key": item.canonical_key,
-            "result": None,
-            "elapsed_ms": item.elapsed_seconds * 1000.0,
-        }
-    return {
-        "name": item.problem.name,
-        "outcome": item.outcome,
-        "complexity": item.result.complexity.value,
-        "details": item.result.describe(),
-        "from_cache": item.from_cache,
-        "canonical_key": item.canonical_key,
-        "result": result_to_dict(item.result),
-        "elapsed_ms": item.elapsed_seconds * 1000.0,
-    }
+    priority = validate_priority(params.get("priority", default_priority))
+    return priority, _milliseconds(params, "deadline_ms", positive=True)
+
+
+def _target_id(request: Request) -> Any:
+    """The ``params.request_id`` a ``cancel``/``trace`` request addresses."""
+    target = request.params.get("request_id")
+    if target is None:
+        raise RequestError(f"{request.op} requires params.request_id")
+    if not isinstance(target, (str, int)):
+        raise RequestError(
+            f"{request.op} params.request_id must be a string or integer"
+        )
+    return target
 
 
 class _ActiveRequest:
@@ -138,6 +163,12 @@ class _ActiveRequest:
         self.pendings: List[PendingClassification] = []
         self.cancel_requested = False
 
+    def track(self, pending: PendingClassification) -> None:
+        self.pendings.append(pending)
+        if self.cancel_requested:
+            # A cancel raced the submission: honor it now.
+            pending.cancel()
+
     def cancel(self) -> int:
         """Detach every live submission; return how many were detached."""
         self.cancel_requested = True
@@ -145,16 +176,16 @@ class _ActiveRequest:
 
 
 class ClassificationService:
-    """A long-running classifier sharing one cache across all clients.
+    """A long-running classifier sharing one local driver across all clients.
 
     Parameters
     ----------
     cache:
         The shared :class:`ClassificationCache`.  A fresh unbounded in-memory
-        cache is created when omitted.  Give it a ``path`` (a cache URL —
-        bare/``json:`` file or ``sqlite:`` database) for persistence and
-        ``max_entries`` for an LRU budget; persistent caches flush dirty
-        keys in the background (write-behind, see the module docstring).
+        cache is created when omitted (``repro serve`` builds it from the
+        endpoint's cache parameters with :func:`~repro.api.session.open_cache`,
+        like a local session).  Persistent caches flush dirty keys in the
+        background (write-behind, see the module docstring).
     backend:
         Worker backend name executing the certificate searches (``inline``,
         ``threads``, ``processes``).  Defaults to ``threads``: in-process
@@ -172,40 +203,23 @@ class ClassificationService:
         backend: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> None:
-        self.cache = cache if cache is not None else ClassificationCache()
-        # Persistent caches get write-behind persistence out of the box:
-        # stores mark keys dirty and a background flusher persists them by
-        # interval/count threshold, instead of the pre-PR-9 full-file
-        # rewrite after every mutating request.  Explicit cache_flush_*
-        # settings on the cache win over these defaults.
-        if self.cache.persistent and not self.cache.autosave:
-            self.cache.enable_write_behind(
+        if workers is None:
+            workers = max(DEFAULT_WORKERS, 4)
+        self.driver = LocalDriver(
+            SessionConfig(backend=backend or "threads", workers=workers), cache=cache
+        )
+        # Persistent caches get write-behind persistence out of the box;
+        # explicit cache_flush_* settings on the cache win over these.
+        cache = self.driver.cache
+        if cache.persistent and not cache.autosave:
+            cache.enable_write_behind(
                 flush_interval=DEFAULT_CACHE_FLUSH_INTERVAL,
                 flush_max_dirty=DEFAULT_CACHE_FLUSH_MAX_DIRTY,
             )
-        if workers is None:
-            workers = max(DEFAULT_WORKERS, 4)
-        self.classifier = BatchClassifier(
-            cache=self.cache, backend=backend or "threads", workers=workers
-        )
-        self.scheduler = self.classifier.scheduler
         # Spawn pool workers now (and detect a process pool degrading to
         # inline execution) so the streaming strategy of `_stream_items`
         # matches how searches will really run from the very first request.
-        self.scheduler.backend.probe()
-        self.requests_served = 0
-        self.started_at = time.monotonic()
-        # Observability: tracing is env-gated (REPRO_TRACE), the metrics
-        # registry is always wired (pull-based — it costs nothing until a
-        # `metrics` request collects it).  Same builder as the local session,
-        # which is what makes local-vs-remote metrics parity structural.
-        self.tracer = Tracer.from_env()
-        self.registry = build_registry(
-            self.classifier,
-            self.tracer,
-            lambda: self.requests_served,
-            self.started_at,
-        )
+        self.driver.scheduler.backend.probe()
         # In-flight requests addressable by `cancel`, keyed by request id.
         # Ids are client-chosen, so several connections may reuse one id;
         # cancel then targets all of them.  Only touched on the loop thread.
@@ -221,57 +235,26 @@ class ClassificationService:
     async def _classify(
         self,
         problem: LCLProblem,
-        priority: str = "interactive",
-        deadline: Optional[float] = None,
-        active: Optional[_ActiveRequest] = None,
-        trace: Optional[RequestTrace] = None,
-    ) -> BatchItem:
+        priority: str,
+        deadline: Optional[float],
+        active: _ActiveRequest,
+        trace: Optional[RequestTrace],
+    ) -> Outcome:
         """Classify one problem off the event loop.
 
         No global lock: the scheduler single-flights per canonical key, so
         concurrent connections classifying *different* problems proceed in
         parallel, and ones racing on the *same* problem share one search.
-        The submission is recorded on ``active`` (when given) before this
-        coroutine blocks, so a concurrent ``cancel`` can detach it.
+        The submission is tracked on ``active`` before this coroutine
+        blocks, so a concurrent ``cancel`` can detach it.
         """
         loop = asyncio.get_running_loop()
+        driver = self.driver
         pending = await loop.run_in_executor(
-            None,
-            lambda: self.classifier.submit_item(
-                problem, priority=priority, deadline=deadline, trace=trace
-            ),
+            None, driver.submit_item, problem, priority, deadline, trace
         )
-        if active is not None:
-            active.pendings.append(pending)
-            if active.cancel_requested:
-                # A cancel raced the submission: honor it now.
-                pending.cancel()
-        return await loop.run_in_executor(None, pending.result)
-
-    @staticmethod
-    def _request_options(
-        params: Mapping[str, Any], default_priority: str
-    ) -> Tuple[str, Optional[float]]:
-        """Validate the protocol-v3 ``priority``/``deadline_ms`` fields.
-
-        Returns ``(priority, deadline_seconds)``.  Omitted fields fall back
-        to the operation's default priority and no deadline — the exact
-        protocol-v2 behavior.
-        """
-        priority = params.get("priority", default_priority)
-        if priority not in PRIORITIES:
-            raise ProtocolError(
-                ERROR_BAD_REQUEST,
-                f"bad priority {priority!r} (known: {', '.join(PRIORITIES)})",
-            )
-        deadline_ms = params.get("deadline_ms")
-        if deadline_ms is None:
-            return priority, None
-        if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
-            raise ProtocolError(ERROR_BAD_REQUEST, "deadline_ms must be a number")
-        if deadline_ms <= 0:
-            raise ProtocolError(ERROR_BAD_REQUEST, "deadline_ms must be positive")
-        return priority, deadline_ms / 1000.0
+        active.track(pending)
+        return await loop.run_in_executor(None, driver.resolve, pending, trace)
 
     @contextlib.contextmanager
     def _track_active(self, request: Request):
@@ -289,60 +272,21 @@ class ClassificationService:
                 if not entries:
                     self._active_requests.pop(request.id, None)
 
-    def _resolve_problem(self, spec: Any, default_name: str) -> LCLProblem:
-        """Turn a request's problem spec (text or dict) into an `LCLProblem`."""
-        try:
-            if isinstance(spec, str):
-                return parse_problem(spec, name=default_name)
-            if isinstance(spec, dict):
-                return problem_from_dict(spec)
-        except (LCLError, ValueError, KeyError, TypeError) as error:
-            raise ProtocolError(ERROR_BAD_PROBLEM, f"bad problem: {error}") from error
-        raise ProtocolError(
-            ERROR_BAD_PROBLEM,
-            "a problem must be paper-notation text or a serialized problem object",
-        )
-
-    def _save_cache(self) -> bool:
-        """Persist the shared cache when it has a backing path."""
-        if not self.cache.path:
-            return False
-        self.cache.save()  # the cache snapshots under its own lock
-        return True
-
     # ------------------------------------------------------------------
     # Operation handlers
     # ------------------------------------------------------------------
     async def _handle_classify(self, request: Request, send: _SendFrame) -> None:
         spec = request.params.get("problem")
         if spec is None:
-            raise ProtocolError(ERROR_BAD_REQUEST, "classify requires params.problem")
-        priority, deadline = self._request_options(
-            request.params, default_priority="interactive"
-        )
-        problem = self._resolve_problem(spec, default_name="<request>")
+            raise RequestError("classify requires params.problem")
+        priority, deadline = _request_options(request.params, "interactive")
+        problem = resolve_problem(spec, default_name="<request>")
         # The trace is keyed by the *wire* request id, so the client that
         # sent this frame can fetch its span tree back with the `trace` op.
-        trace = self.tracer.start("classify", request_id=request.id)
-        try:
-            with self._track_active(request) as active:
-                item = await self._classify(
-                    problem,
-                    priority=priority,
-                    deadline=deadline,
-                    active=active,
-                    trace=trace,
-                )
-            await send(result_frame(request.id, item_payload(item)))
-        except BaseException:
-            if trace is not None:
-                trace.finish("error")
-            raise
-        if trace is not None:
-            trace.finish(item.outcome)
-        # Persistence is write-behind: the store marked the key dirty and
-        # the cache's background flusher persists it (interval/count
-        # thresholds), so mutating requests no longer rewrite the file.
+        trace = self.driver.tracer.start("classify", request_id=request.id)
+        with self._track_active(request) as active:
+            outcome = await self._classify(problem, priority, deadline, active, trace)
+        await send(result_frame(request.id, outcome.as_dict()))
 
     async def _stream_items(
         self,
@@ -351,17 +295,16 @@ class ClassificationService:
         send: _SendFrame,
         priority: str,
         deadline: Optional[float],
-        active: _ActiveRequest,
-    ) -> Dict[str, Any]:
-        """Stream one ``item`` frame per problem; return the hit/miss summary.
+    ) -> List[Outcome]:
+        """Stream one ``item`` frame per problem; return the outcomes.
 
         All problems are submitted to the scheduler up front, so uncached
         representatives fan out across the worker backend; frames are then
         written in submission order as each future resolves, so a slow search
         overlaps with everything behind it instead of serializing the stream.
-        ``deadline`` bounds each canonical key's search; expired or cancelled
-        keys stream as ``outcome: "timeout"``/``"cancelled"`` items while the
-        rest of the request completes normally.
+        ``deadline`` bounds each problem's canonicalization and search;
+        expired or cancelled keys stream as ``outcome: "timeout"``/
+        ``"cancelled"`` items while the rest of the request completes.
 
         A synchronous backend (``inline``, or a ``processes`` pool that
         degraded to inline execution) runs each search *inside*
@@ -372,165 +315,81 @@ class ClassificationService:
         cannot interrupt the search already running).
         """
         loop = asyncio.get_running_loop()
-        hits = 0
-        timeouts = 0
-        cancelled = 0
-
-        def tally(item: BatchItem) -> None:
-            nonlocal hits, timeouts, cancelled
-            if item.outcome == "timeout":
-                timeouts += 1
-            elif item.outcome == "cancelled":
-                cancelled += 1
-            else:
-                hits += int(item.from_cache)
-
+        driver = self.driver
         # Per-item traces under sub-ids "<request id>.<seq>", so any item of
         # a batch/census is individually retrievable via the `trace` op.
-        traces: List[Optional[RequestTrace]]
-        if self.tracer.enabled:
+        traces: List[Optional[RequestTrace]] = [None] * len(problems)
+        if driver.tracer.enabled:
             base = request.id if request.id is not None else new_request_id()
             traces = [
-                self.tracer.start(request.op, request_id=f"{base}.{seq}")
+                driver.tracer.start(request.op, request_id=f"{base}.{seq}")
                 for seq in range(len(problems))
             ]
-        else:
-            traces = [None] * len(problems)
-
-        if self.scheduler.backend.synchronous:
-            for seq, problem in enumerate(problems):
-                if active.cancel_requested:
-                    item = BatchItem(
-                        problem=problem,
-                        canonical_key=canonical_form(problem).key,
-                        result=None,
-                        from_cache=False,
-                        outcome="cancelled",
-                    )
-                else:
-                    item = await self._classify(
-                        problem,
-                        priority=priority,
-                        deadline=deadline,
-                        active=active,
-                        trace=traces[seq],
-                    )
-                tally(item)
-                await send(item_frame(request.id, seq, item_payload(item)))
-                if traces[seq] is not None:
-                    traces[seq].finish(item.outcome)
-        else:
-            pendings = await loop.run_in_executor(
-                None,
-                lambda: [
-                    self.classifier.submit_item(
-                        problem, priority=priority, deadline=deadline, trace=trace
-                    )
-                    for problem, trace in zip(problems, traces)
-                ],
-            )
-            active.pendings.extend(pendings)
-            if active.cancel_requested:
-                # A cancel raced the up-front fan-out: honor it now.
+        outcomes: List[Outcome] = []
+        with self._track_active(request) as active:
+            if driver.scheduler.backend.synchronous:
+                for seq, (problem, trace) in enumerate(zip(problems, traces)):
+                    if active.cancel_requested:
+                        outcome = Outcome(
+                            name=problem.name,
+                            outcome=OUTCOME_CANCELLED,
+                            canonical_key=canonical_form(problem).key,
+                            problem=problem,
+                        )
+                        if trace is not None:
+                            trace.finish(OUTCOME_CANCELLED)
+                    else:
+                        outcome = await self._classify(
+                            problem, priority, deadline, active, trace
+                        )
+                    await send(item_frame(request.id, seq, outcome.as_dict()))
+                    outcomes.append(outcome)
+            else:
+                pendings = await loop.run_in_executor(
+                    None,
+                    lambda: [
+                        driver.submit_item(problem, priority, deadline, trace)
+                        for problem, trace in zip(problems, traces)
+                    ],
+                )
                 for pending in pendings:
-                    pending.cancel()
-            for seq, pending in enumerate(pendings):
-                item = await loop.run_in_executor(None, pending.result)
-                tally(item)
-                await send(item_frame(request.id, seq, item_payload(item)))
-                if traces[seq] is not None:
-                    traces[seq].finish(item.outcome)
-        count = len(problems)
-        # One denominator for the whole hit/miss story: the *completed*
-        # items.  Interrupted items are neither hits nor misses, so
-        # hits + misses == completed and hit_rate == hits / (hits + misses).
-        completed = count - timeouts - cancelled
-        return {
-            "count": count,
-            "cache_hits": hits,
-            "cache_misses": completed - hits,
-            "hit_rate": hits / completed if completed else 0.0,
-            "timeouts": timeouts,
-            "cancelled": cancelled,
-        }
+                    active.track(pending)
+                for seq, (pending, trace) in enumerate(zip(pendings, traces)):
+                    outcome = await loop.run_in_executor(
+                        None, driver.resolve, pending, trace
+                    )
+                    await send(item_frame(request.id, seq, outcome.as_dict()))
+                    outcomes.append(outcome)
+        return outcomes
 
     async def _handle_classify_batch(self, request: Request, send: _SendFrame) -> None:
         specs = request.params.get("problems")
         if not isinstance(specs, list) or not specs:
-            raise ProtocolError(
-                ERROR_BAD_REQUEST,
-                "classify_batch requires params.problems: a non-empty list",
+            raise RequestError(
+                "classify_batch requires params.problems: a non-empty list"
             )
-        priority, deadline = self._request_options(
-            request.params, default_priority="batch"
-        )
+        priority, deadline = _request_options(request.params, "batch")
         # Resolve everything up front so malformed input yields one error
         # frame instead of a half-finished stream.
         problems = [
-            self._resolve_problem(spec, default_name=f"<request>#{index + 1}")
+            resolve_problem(spec, default_name=f"<request>#{index + 1}")
             for index, spec in enumerate(specs)
         ]
-        with self._track_active(request) as active:
-            summary = await self._stream_items(
-                request, problems, send, priority, deadline, active
-            )
-        summary["stats"] = self.classifier.stats_report()
+        outcomes = await self._stream_items(request, problems, send, priority, deadline)
+        summary = summarize_outcomes(outcomes)
+        summary["stats"] = self.driver.classifier.stats_report()
         await send(done_frame(request.id, summary))
 
-    @staticmethod
-    def _census_problems(
-        params: Mapping[str, Any],
-    ) -> Tuple[List[LCLProblem], Dict[str, Any]]:
-        """Generate a census's problem list; return it with the echoed params."""
-        try:
-            labels = int(params.get("labels", 2))
-            delta = int(params.get("delta", 2))
-            density = float(params.get("density", 0.5))
-            count = int(params.get("count", 100))
-            seed = int(params.get("seed", 0))
-        except (TypeError, ValueError) as error:
-            raise ProtocolError(
-                ERROR_BAD_REQUEST, f"bad census parameter: {error}"
-            ) from error
-        if count < 1:
-            raise ProtocolError(ERROR_BAD_REQUEST, "census requires count >= 1")
-        problems = [
-            random_problem(labels, delta=delta, density=density, seed=seed + index)
-            for index in range(count)
-        ]
-        echo = {
-            "labels": labels,
-            "delta": delta,
-            "density": density,
-            "count": count,
-            "seed": seed,
-        }
-        return problems, echo
-
     async def _handle_census(self, request: Request, send: _SendFrame) -> None:
-        problems, echo_params = self._census_problems(request.params)
+        problems, echo_params = census_problems(request.params)
         # A census is bulk background work: it defaults to the lowest
         # priority class so interactive classifies overtake its fan-out.
-        priority, deadline = self._request_options(
-            request.params, default_priority="warm"
-        )
-        counts: Dict[str, int] = {}
-
-        async def send_and_tally(frame: Dict[str, Any]) -> None:
-            data = frame["data"]
-            # Interrupted items tally under their outcome ("timeout"/
-            # "cancelled") instead of a complexity class.
-            value = data["complexity"] if data["complexity"] else data["outcome"]
-            counts[value] = counts.get(value, 0) + 1
-            await send(frame)
-
-        with self._track_active(request) as active:
-            summary = await self._stream_items(
-                request, problems, send_and_tally, priority, deadline, active
-            )
-        summary["counts"] = counts
+        priority, deadline = _request_options(request.params, "warm")
+        outcomes = await self._stream_items(request, problems, send, priority, deadline)
+        summary = summarize_outcomes(outcomes)
+        summary["counts"] = tally_outcomes(outcomes)
         summary["params"] = echo_params
-        summary["stats"] = self.classifier.stats_report()
+        summary["stats"] = self.driver.classifier.stats_report()
         await send(done_frame(request.id, summary))
 
     async def _handle_warm(self, request: Request, send: _SendFrame) -> None:
@@ -549,52 +408,28 @@ class ClassificationService:
         params = request.params
         specs = params.get("problems")
         census = params.get("census")
-        wait = bool(params.get("wait", False))
-        priority, deadline = self._request_options(params, default_priority="warm")
-        budget_ms = params.get("budget_ms")
-        budget: Optional[float] = None
-        if budget_ms is not None:
-            if isinstance(budget_ms, bool) or not isinstance(budget_ms, (int, float)):
-                raise ProtocolError(ERROR_BAD_REQUEST, "budget_ms must be a number")
-            if budget_ms < 0:
-                raise ProtocolError(ERROR_BAD_REQUEST, "budget_ms must be non-negative")
-            budget = budget_ms / 1000.0
+        priority, deadline = _request_options(params, "warm")
+        budget = _milliseconds(params, "budget_ms", positive=False)
         if specs is None and census is None:
-            raise ProtocolError(
-                ERROR_BAD_REQUEST, "warm requires params.problems or params.census"
-            )
+            raise RequestError("warm requires params.problems or params.census")
         problems: List[LCLProblem] = []
         if specs is not None:
             if not isinstance(specs, list) or not specs:
-                raise ProtocolError(
-                    ERROR_BAD_REQUEST, "warm params.problems must be a non-empty list"
-                )
-            problems.extend(
-                self._resolve_problem(spec, default_name=f"<warm>#{index + 1}")
+                raise RequestError("warm params.problems must be a non-empty list")
+            problems = [
+                resolve_problem(spec, default_name=f"<warm>#{index + 1}")
                 for index, spec in enumerate(specs)
-            )
-        if census is not None:
-            if not isinstance(census, dict):
-                raise ProtocolError(
-                    ERROR_BAD_REQUEST, "warm params.census must be an object"
-                )
-            census_problems, _echo = self._census_problems(census)
-            problems.extend(census_problems)
+            ]
+        if census is not None and not isinstance(census, dict):
+            raise RequestError("warm params.census must be an object")
+        wait = bool(params.get("wait", False))
         loop = asyncio.get_running_loop()
         summary = await loop.run_in_executor(
             None,
-            lambda: self.scheduler.warm(
-                [canonical_form(problem) for problem in problems],
-                wait=wait,
-                priority=priority,
-                deadline=deadline,
-                budget=budget,
+            lambda: self.driver.warm(
+                problems, census, wait, priority, deadline, budget
             ),
         )
-        summary["count"] = len(problems)
-        # Warmed results persist via the same write-behind flusher as every
-        # other store — no special-cased idle save; shutdown still flushes
-        # whatever a background warm landed after the last interval.
         await send(result_frame(request.id, summary))
 
     async def _handle_cancel(self, request: Request, send: _SendFrame) -> None:
@@ -613,80 +448,38 @@ class ClassificationService:
         effect, because the target cancels late-recorded submissions itself
         when it sees ``cancel_requested``.
         """
-        target = request.params.get("request_id")
-        if target is None:
-            raise ProtocolError(ERROR_BAD_REQUEST, "cancel requires params.request_id")
-        if not isinstance(target, (str, int)):
-            raise ProtocolError(
-                ERROR_BAD_REQUEST, "cancel params.request_id must be a string or integer"
-            )
+        target = _target_id(request)
         entries = list(self._active_requests.get(target, []))
         cancelled = sum(entry.cancel() for entry in entries)
         await send(
             result_frame(
                 request.id,
-                {
-                    "request_id": target,
-                    "found": bool(entries),
-                    "cancelled": cancelled,
-                },
+                {"request_id": target, "found": bool(entries), "cancelled": cancelled},
             )
         )
 
     async def _handle_stats(self, request: Request, send: _SendFrame) -> None:
-        await send(result_frame(request.id, self.stats_payload()))
+        await send(result_frame(request.id, self.driver.stats()))
 
     async def _handle_metrics(self, request: Request, send: _SendFrame) -> None:
         """The ``repro.metrics/1`` snapshot plus its Prometheus rendering.
 
         Both shapes travel in one frame so scrapers take the ``text`` field
-        verbatim while programmatic clients keep the structured snapshot —
-        and the local session renders the *same* snapshot through the *same*
-        function, which the parity test pins.
+        verbatim while programmatic clients keep the structured snapshot.
         """
-        snapshot = self.registry.snapshot()
-        await send(
-            result_frame(
-                request.id,
-                {"snapshot": snapshot, "text": render_prometheus(snapshot)},
-            )
-        )
+        await send(result_frame(request.id, self.driver.metrics()))
 
     async def _handle_trace(self, request: Request, send: _SendFrame) -> None:
         """Fetch the finished span tree of ``params.request_id``, if retained."""
-        target = request.params.get("request_id")
-        if target is None:
-            raise ProtocolError(ERROR_BAD_REQUEST, "trace requires params.request_id")
-        if not isinstance(target, (str, int)):
-            raise ProtocolError(
-                ERROR_BAD_REQUEST, "trace params.request_id must be a string or integer"
-            )
-        doc = self.tracer.get(target)
-        await send(
-            result_frame(
-                request.id,
-                {"request_id": target, "found": doc is not None, "trace": doc},
-            )
-        )
-
-    def stats_payload(self) -> Dict[str, Any]:
-        """The ``stats`` response: service, cache, batch, worker, trace counters."""
-        return {
-            "service": {
-                "requests_served": self.requests_served,
-                "uptime_seconds": time.monotonic() - self.started_at,
-            },
-            # cache.info() is the one source of the cache-section shape, so
-            # local and remote stats expose identical fields by construction.
-            "cache": self.cache.info(),
-            "batch": self.classifier.stats.as_dict(),
-            "workers": self.scheduler.stats_payload(),
-            "trace": self.tracer.as_dict(),
-        }
+        await send(result_frame(request.id, self.driver.trace(_target_id(request))))
 
     async def _handle_shutdown(self, request: Request, send: _SendFrame) -> None:
-        saved = self._save_cache()
-        await send(result_frame(request.id, {"ok": True, "cache_saved": saved}))
+        cache = self.driver.cache
+        if cache.path:
+            cache.save()  # the cache snapshots under its own lock
+        await send(
+            result_frame(request.id, {"ok": True, "cache_saved": bool(cache.path)})
+        )
         self.request_shutdown()
 
     _HANDLERS = {
@@ -739,19 +532,15 @@ class ClassificationService:
         except ProtocolError as error:
             await send(error_frame(_best_effort_id(line), error))
             return
-        self.requests_served += 1
-        handler = self._HANDLERS[request.op]
+        self.driver.count_request()
         try:
-            await handler(self, request, send)
-        except ProtocolError as error:
+            await self._HANDLERS[request.op](self, request, send)
+        except SessionError as error:
+            # Session error codes are the wire's error codes.
             await send(error_frame(request.id, error))
         except Exception as error:  # noqa: BLE001 - protocol boundary
-            await send(
-                error_frame(
-                    request.id,
-                    ProtocolError(ERROR_INTERNAL, f"{type(error).__name__}: {error}"),
-                )
-            )
+            internal = InternalError(f"{type(error).__name__}: {error}")
+            await send(error_frame(request.id, internal))
 
     # ------------------------------------------------------------------
     # Transports
@@ -785,13 +574,7 @@ class ClassificationService:
         try:
             await self._serve_connection(readline, send)
         finally:
-            self._save_cache()
-            # close() drains in-flight background warms into the in-memory
-            # cache; cache.close() then persists a final full snapshot (and
-            # stops the write-behind flusher), so shutdown loses nothing.
-            self.classifier.close()
-            self.cache.close()
-            self.tracer.close()
+            self.driver.close()
 
     async def serve_tcp(
         self,
@@ -815,7 +598,6 @@ class ClassificationService:
         try:
             await self._shutdown_event.wait()
         finally:
-            self._save_cache()
             # Close lingering connections *before* waiting on the server:
             # idle handlers sit in readline() and only finish once their
             # transport closes underneath them.  Then give the handler tasks
@@ -828,14 +610,10 @@ class ClassificationService:
             server.close()
             with contextlib.suppress(Exception):
                 await server.wait_closed()
-            # Only now tear the worker pool down: no handler can submit work.
-            # close() waits for in-flight searches (e.g. a background warm),
-            # whose results land in the in-memory cache after the save above —
-            # cache.close() persists a final full snapshot (and stops the
-            # write-behind flusher) so shutdown loses nothing.
-            self.classifier.close()
-            self.cache.close()
-            self.tracer.close()
+            # Only now tear the driver down: no handler can submit work.  It
+            # waits for in-flight searches (e.g. a background warm), then
+            # persists a final full snapshot of the cache.
+            self.driver.close()
 
     async def _handle_tcp_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

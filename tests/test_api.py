@@ -27,7 +27,7 @@ from repro.api import (
 )
 from repro.engine import BatchClassifier
 from repro.problems import hard_problem
-from repro.service.server import ThreadedService, item_payload
+from repro.service.server import ThreadedService
 from repro.workers import ClassificationScheduler, SearchTimeStats, create_backend
 from repro.workers.metrics import BUCKET_BOUNDS_MS
 
@@ -102,12 +102,6 @@ class TestEndpointParsing:
 # Outcome shape: the facade and the wire must never drift apart
 # ----------------------------------------------------------------------
 class TestOutcomeShape:
-    def test_as_dict_matches_service_item_payload(self):
-        with BatchClassifier() as classifier:
-            items = classifier.classify_many(seeded_problems(6, labels=2))
-        for item in items:
-            assert Outcome.from_batch_item(item).as_dict() == item_payload(item)
-
     def test_payload_round_trip(self):
         with BatchClassifier() as classifier:
             item = classifier.classify_item(seeded_problems(1, labels=2)[0])

@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.api import SessionError, connect
-from repro.cli import SLO_EXIT_CODE, _summarize_outcomes, main
+from repro.api.outcome import summarize_outcomes
+from repro.cli import SLO_EXIT_CODE, main
 from repro.loadgen import (
     LoadDriver,
     SLOSpec,
@@ -442,7 +443,7 @@ class TestClassifyManySoak:
         problems = [request.problem for request in spec.plan()]
         with connect("local://threads?workers=3") as session:
             outcomes = list(session.classify_many(problems))
-        summary = _summarize_outcomes(outcomes)
+        summary = summarize_outcomes(outcomes)
         assert summary["count"] == len(problems)
         interrupted = summary["timeouts"] + summary["cancelled"]
         assert (
@@ -472,7 +473,7 @@ class TestClassifyManySoak:
                 ).result()
                 for request in plan
             ]
-        summary = _summarize_outcomes(outcomes)
+        summary = summarize_outcomes(outcomes)
         interrupted = summary["timeouts"] + summary["cancelled"]
         assert interrupted >= 1  # the poison pills really timed out
         assert (

@@ -424,7 +424,7 @@ class TestWarm:
 class TestServiceOverStdio:
     def test_spawned_stdio_service_round_trip(self, tmp_path):
         path = tmp_path / "stdio-cache.json"
-        with ServiceClient.spawn_stdio(cache=str(path)) as client:
+        with ServiceClient.spawn_stdio(f"stdio:?cache={path}") as client:
             assert client.server_info["protocol"] == 3
             assert "warm" in client.server_info["ops"]
             assert "cancel" in client.server_info["ops"]
@@ -440,10 +440,10 @@ class TestServiceOverStdio:
     def test_stdio_cache_persists_across_spawns(self, tmp_path):
         """Two stdio service processes share one persistent cache file."""
         path = tmp_path / "stdio-cache.json"
-        with ServiceClient.spawn_stdio(cache=str(path)) as first:
+        with ServiceClient.spawn_stdio(f"stdio:?cache={path}") as first:
             cold = first.classify("1 : 2 2\n2 : 1 1")
             first.shutdown()
-        with ServiceClient.spawn_stdio(cache=str(path)) as second:
+        with ServiceClient.spawn_stdio(f"stdio:?cache={path}") as second:
             warm = second.classify("1 : 2 2\n2 : 1 1")
             second.shutdown()
         assert cold["from_cache"] is False
