@@ -17,18 +17,27 @@ Usage::
     python -m repro cache compact --cache results.json --cache-max-entries 500
     python -m repro serve tcp://127.0.0.1:8765          # long-running service (TCP)
     python -m repro serve stdio:                        # service over stdin/stdout
-    python -m repro client --connect localhost:8765 classify problem.txt
-    python -m repro client --connect localhost:8765 warm --census --count 200 --wait
+    python -m repro classify problem.txt --endpoint tcp://localhost:8765
+    python -m repro warm --census --count 200 --wait --endpoint tcp://localhost:8765
+    python -m repro stats tcp://localhost:8765          # cache/engine/worker statistics
     python -m repro metrics tcp://127.0.0.1:8765        # Prometheus text exposition
-    python -m repro client --connect localhost:8765 trace 17   # span tree by id
+    python -m repro trace tcp://localhost:8765 17       # span tree by request id
+    python -m repro shutdown tcp://localhost:8765
 
-Every subcommand is a thin user of :mod:`repro.api`: it opens a
-:class:`~repro.api.ClassificationSession` on an endpoint —
-``local://inline`` by default, ``local://threads``/``local://processes``
-under the worker flags, ``tcp://host:port`` for the ``client`` subcommands —
-and renders the uniform :class:`~repro.api.Outcome` objects the session
-returns.  The classify/batch/census output is therefore *identical* in
-shape whether the searches ran in this process or on a remote service.
+Every verb is one operation on one :class:`~repro.api.ClassificationSession`
+endpoint.  ``classify``, ``classify-batch``, ``census`` and ``warm`` take
+``--endpoint URL``; without it they run on the ``local://`` endpoint their
+worker and cache flags describe (``local://inline`` when none is given).
+``stats``, ``metrics``, ``trace``, ``cancel``, ``shutdown`` and ``loadgen``
+take the endpoint as their first argument.  Flags fill in what the URL leaves
+unset.  A flag the endpoint cannot honour — worker flags on ``tcp://`` or
+``stdio:``, cache flags on a connecting ``tcp://`` — or one that contradicts
+the URL is a usage error (exit status 2), never silently dropped.  Each verb
+has one renderer over the uniform :class:`~repro.api.Outcome` objects, so its
+output, plain and ``--json``, has the *same shape* on every endpoint; every
+batch/census summary line comes from
+:func:`~repro.api.outcome.summarize_outcomes` over the request's own
+outcomes, so it stays correct on a shared server.
 
 A problem file contains one configuration per line in the paper's notation
 (``parent : child child ...``); blank lines and ``#`` comments are ignored
@@ -37,16 +46,16 @@ several such problems separated by lines containing only ``---``; a comment
 of the form ``# name: some-name`` inside a block names that problem.
 
 Batch work is deduplicated by a renaming-invariant canonical form and can
-persist across runs with ``--cache FILE`` (bounded with
+persist across runs with ``--cache URL`` (bounded with
 ``--cache-max-entries N``).  Uncached representatives execute on a worker
 backend selected with ``--worker-backend {inline,threads,processes}`` and
-sized with ``--workers N`` (``--processes N`` remains as the legacy
-spelling).  Because the certificate searches are exponential in the worst
-case, every classification command accepts ``--deadline SECONDS`` (per-
-problem budget covering canonicalization and search; blown budgets report
-outcome ``timeout`` — exit code 124 for single classifies) and ``--priority
-{interactive,batch,warm}``.  ``warm`` additionally accepts ``--budget
-SECONDS``, a wall-clock budget spread best-effort across the whole sweep.
+sized with ``--workers N``.  Because the certificate searches are
+exponential in the worst case, every classification command accepts
+``--deadline SECONDS`` (per-problem budget covering canonicalization and
+search; blown budgets report outcome ``timeout`` — exit code 124 for
+``classify``) and ``--priority {interactive,batch,warm}``.  ``warm``
+additionally accepts ``--budget SECONDS``, a wall-clock budget spread
+best-effort across the whole sweep.
 
 ``loadgen`` replays a seeded synthetic workload (Zipf-skewed duplicate-heavy
 keys, Poisson/burst arrivals, mixed priorities — see :mod:`repro.loadgen`)
@@ -56,9 +65,8 @@ violated objective exits nonzero, making latency guarantees CI-assertable.
 
 ``serve`` runs the long-running classification service of
 :mod:`repro.service` on a ``tcp://`` or ``stdio:`` endpoint (spec:
-``docs/service_protocol.md``); ``client`` is its command-line counterpart,
-exposing the same classify/batch/census surface plus ``warm``, ``cancel``,
-``stats`` and ``shutdown`` through a ``tcp://`` session.
+``docs/service_protocol.md``); every verb above reaches it through that
+endpoint.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from .api import (
@@ -78,10 +87,9 @@ from .api import (
     SessionError,
     parse_endpoint,
 )
-from .api.config import MODE_STDIO, MODE_TCP
+from .api.config import MODE_LOCAL, MODE_STDIO, MODE_TCP
 from .api.outcome import summarize_outcomes, tally_outcomes
 from .api.session import open_cache
-from .core.classifier import classify_with_certificates
 from .core.parser import parse_problem
 from .core.problem import LCLError, LCLProblem
 from .engine.backends import parse_cache_url, parse_snapshot_text
@@ -101,6 +109,13 @@ BATCH_SEPARATOR = "---"
 TIMEOUT_EXIT_CODE = 124
 """Exit status when a requested classification blew its ``--deadline``
 (matching the convention of GNU ``timeout``)."""
+
+USAGE_EXIT_CODE = 2
+"""Exit status of a :class:`UsageError`, as for argparse's own errors."""
+
+
+class UsageError(Exception):
+    """A missing argument or a flag the chosen endpoint cannot honour."""
 
 
 def _read_problem(source: str) -> LCLProblem:
@@ -169,162 +184,178 @@ def _read_batch(source: str) -> List[LCLProblem]:
 # ----------------------------------------------------------------------
 # The session factory — the only place the CLI decides *where* work runs
 # ----------------------------------------------------------------------
-def _local_config(args: argparse.Namespace) -> SessionConfig:
-    """The engine/worker/cache flags as a local session configuration."""
-    backend = getattr(args, "worker_backend", None)
-    workers = getattr(args, "workers", None)
-    processes = getattr(args, "processes", None)
-    if backend is None and processes is not None and processes > 1:
-        backend, workers = "processes", workers or processes
-    return SessionConfig(
-        mode="local",
-        backend=backend or "inline",
-        workers=workers,
-        cache_path=getattr(args, "cache", None),
-        cache_max_entries=getattr(args, "cache_max_entries", None),
-        cache_ttl=getattr(args, "cache_ttl", None),
-        cache_flush_interval=getattr(args, "cache_flush_interval", None),
-        cache_flush_count=getattr(args, "cache_flush_count", None),
-    )
+_WORKER_FLAGS = (("backend", "--worker-backend"), ("workers", "--workers"))
+_CACHE_FLAGS = (
+    ("cache_path", "--cache"),
+    ("cache_max_entries", "--cache-max-entries"),
+    ("cache_ttl", "--cache-ttl"),
+    ("cache_flush_interval", "--cache-flush-interval"),
+    ("cache_flush_count", "--cache-flush-count"),
+)
 
 
-def _open_local_session(args: argparse.Namespace) -> ClassificationSession:
-    return ClassificationSession.open(_local_config(args))
+def _session_config(args: argparse.Namespace, serving: bool = False) -> SessionConfig:
+    """The session configuration a verb's endpoint and engine flags describe.
+
+    The endpoint is ``args.endpoint``.  Without one, a problem verb runs on
+    ``local://`` with its ``--worker-backend`` (``inline`` by default) and
+    ``serve`` listens on ``tcp://`` at ``--host``/``--port``.  Flags fill in
+    what the URL leaves unset.  A ``local://`` endpoint honours every engine
+    flag, a ``stdio:`` one only the cache flags (they travel to the service
+    it spawns), and a connecting ``tcp://`` one none: the service runs the
+    engine and owns the cache.  ``serving`` marks the endpoint ``repro
+    serve`` listens on: the cache flags configure it, and the service takes
+    the worker flags itself.  Any other flag, or one that contradicts the
+    URL, raises :class:`UsageError`.
+    """
+    if args.endpoint is not None:
+        config = parse_endpoint(args.endpoint)
+    elif serving:
+        config = SessionConfig(mode=MODE_TCP, host=args.host, port=args.port)
+    else:
+        backend = getattr(args, "worker_backend", None)
+        config = SessionConfig(backend=backend or "inline")
+    flags = _CACHE_FLAGS if serving else _WORKER_FLAGS + _CACHE_FLAGS
+    if serving or config.mode == MODE_LOCAL:
+        honoured = flags
+    elif config.mode == MODE_STDIO:
+        honoured = _CACHE_FLAGS
+    else:
+        honoured = ()
+    updates: Dict[str, Any] = {}
+    for field, flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if (field, flag) not in honoured:
+            raise UsageError(
+                f"{flag} does not apply to {config.endpoint()}: the service "
+                "at the other end owns the engine and its cache"
+            )
+        current = getattr(config, field)
+        if current is None:
+            updates[field] = value
+        elif current != value:
+            raise UsageError(
+                f"{flag} {value} contradicts the endpoint's {current!r}"
+            )
+    return replace(config, **updates)
 
 
-def _open_client_session(args: argparse.Namespace) -> ClassificationSession:
-    host, port = _parse_connect(args.connect)
-    return ClassificationSession.open(
-        SessionConfig(mode="tcp", host=host, port=port, retries=args.retries)
-    )
+def _open_session(args: argparse.Namespace) -> ClassificationSession:
+    return ClassificationSession.open(_session_config(args))
+
+
+def _request_id(text: str) -> Any:
+    """A request id as typed: numeric ids are matched as integers."""
+    return int(text) if text.isdigit() else text
 
 
 # ----------------------------------------------------------------------
 # Shared rendering of outcomes and summaries
 # ----------------------------------------------------------------------
-def _print_item_line(item: Dict[str, Any]) -> None:
-    if item.get("outcome", "ok") != "ok":
-        print(
-            f"[{item['outcome']}] {item['name']:28s} ({item['outcome']})", flush=True
-        )
+def _print_item_line(outcome: Outcome) -> None:
+    if not outcome.ok:
+        print(f"[{outcome.outcome}] {outcome.name:28s} ({outcome.outcome})", flush=True)
         return
-    origin = "cached" if item["from_cache"] else "search"
-    print(f"[{origin}] {item['name']:28s} {item['complexity']:16s}", flush=True)
+    origin = "cached" if outcome.from_cache else "search"
+    print(f"[{origin}] {outcome.name:28s} {outcome.complexity:16s}", flush=True)
 
 
-def _print_stream_summary(summary: Dict[str, Any]) -> None:
-    interrupted = summary.get("timeouts", 0) + summary.get("cancelled", 0)
+def _print_summary(summary: Dict[str, Any]) -> None:
+    """The one summary line of a batch or census (from ``summarize_outcomes``)."""
+    interrupted = summary["timeouts"] + summary["cancelled"]
     suffix = f", {interrupted} timed out/cancelled" if interrupted else ""
     print(
-        f"\n{summary['count']} problem(s): {summary['cache_hits']} cache hit(s), "
-        f"{summary['cache_misses']} miss(es) (hit rate {summary['hit_rate']:.0%})"
-        f"{suffix}"
+        f"\n{summary['count']} problem(s): {summary['cache_misses']} full "
+        f"search(es), {summary['cache_hits']} cache hit(s) "
+        f"(hit rate {summary['hit_rate']:.0%}){suffix}"
     )
 
 
 # ----------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------
-def _report_outcome(outcome: Outcome) -> str:
-    name = outcome.problem.summary() if outcome.problem else outcome.name
-    lines = [
-        f"problem:    {name}",
-        f"complexity: {outcome.complexity}",
-        f"details:    {outcome.details}",
-        f"time:       {outcome.elapsed_ms:.2f} ms",
-    ]
-    return "\n".join(lines)
-
-
 def _run_classify(args: argparse.Namespace) -> int:
-    if args.catalog and (args.deadline is not None or args.priority is not None):
-        # The catalog path classifies directly (no scheduler), so silently
-        # ignoring the flags would fake a safety net that is not there.
-        print(
-            "error: --deadline/--priority cannot be combined with --catalog",
-            file=sys.stderr,
-        )
-        return 2
     if args.catalog:
-        rows = []
-        for name, (problem, expected) in catalog().items():
-            artifacts = classify_with_certificates(problem)
-            rows.append((name, artifacts, expected))
-        if args.json:
-            payload = [
-                {
-                    "name": name,
-                    "complexity": artifacts.result.complexity.value,
-                    "expected": expected.value,
-                    "ok": artifacts.result.complexity == expected,
-                    "elapsed_ms": artifacts.elapsed_seconds * 1000.0,
-                }
-                for name, artifacts, expected in rows
-            ]
-            print(json.dumps(payload, indent=2))
-            return 0
-        for name, artifacts, expected in rows:
-            marker = "ok" if artifacts.result.complexity == expected else "UNEXPECTED"
-            print(
-                f"[{marker}] {name:22s} {artifacts.result.complexity.value:16s} "
-                f"({artifacts.elapsed_seconds * 1000:.1f} ms)"
-            )
-        return 0
+        return _run_catalog(args)
     if not args.problem:
-        print("error: provide a problem file, '-' for stdin, or --catalog", file=sys.stderr)
-        return 2
+        raise UsageError("provide a problem file, '-' for stdin, or --catalog")
     problem = _read_problem(args.problem)
-    with ClassificationSession.open("local://inline") as session:
+    with _open_session(args) as session:
         outcome = session.classify(
-            problem, priority=args.priority or "interactive", deadline=args.deadline
+            problem, priority=args.priority, deadline=args.deadline
         )
     if args.json:
-        payload: Dict[str, Any] = {
-            "problem": problem_to_dict(problem),
-            **outcome.as_dict(),
-        }
+        payload = {"problem": problem_to_dict(problem), **outcome.as_dict()}
         print(json.dumps(payload, indent=2))
-    elif outcome.ok:
-        print(_report_outcome(outcome))
     else:
         print(f"problem:    {problem.summary()}")
-        print(f"outcome:    {outcome.outcome} (deadline {args.deadline}s)")
+        if outcome.ok:
+            print(f"complexity: {outcome.complexity}")
+            print(f"details:    {outcome.details}")
+            print(f"cached:     {'yes' if outcome.from_cache else 'no'}")
+            print(f"time:       {outcome.elapsed_ms:.2f} ms")
+        else:
+            print(f"outcome:    {outcome.outcome}")
     return 0 if outcome.ok else TIMEOUT_EXIT_CODE
+
+
+def _run_catalog(args: argparse.Namespace) -> int:
+    """Classify the paper's sample problems and check the expected classes."""
+    entries = list(catalog().items())
+    with _open_session(args) as session:
+        outcomes = list(
+            session.classify_many(
+                [problem for _, (problem, _) in entries],
+                priority=args.priority,
+                deadline=args.deadline,
+            )
+        )
+    rows = [
+        {
+            "name": name,
+            "complexity": outcome.complexity,
+            "expected": expected.value,
+            "ok": outcome.complexity == expected.value,
+            "elapsed_ms": outcome.elapsed_ms,
+        }
+        for (name, (_, expected)), outcome in zip(entries, outcomes)
+    ]
+    if args.json:
+        print(json.dumps(rows, indent=2))
+    else:
+        for row, outcome in zip(rows, outcomes):
+            marker = "ok" if row["ok"] else "UNEXPECTED"
+            if not outcome.ok:
+                marker = outcome.outcome
+            print(
+                f"[{marker}] {row['name']:22s} {outcome.complexity or '-':16s} "
+                f"({row['elapsed_ms']:.1f} ms)"
+            )
+    return 0 if all(outcome.ok for outcome in outcomes) else TIMEOUT_EXIT_CODE
 
 
 # ----------------------------------------------------------------------
 # classify-batch
 # ----------------------------------------------------------------------
-def _print_batch_report(outcomes: List[Outcome], stats: Dict[str, Any]) -> None:
-    for outcome in outcomes:
-        _print_item_line(outcome.as_dict())
-    batch, cache = stats["batch"], stats["cache"]
-    interrupted = sum(1 for outcome in outcomes if not outcome.ok)
-    suffix = f"; {interrupted} timed out/cancelled" if interrupted else ""
-    print(
-        f"\n{batch['submitted']} problem(s), {batch['full_searches']} full search(es), "
-        f"{batch['amortized']} amortized ({batch['speedup']:.1f}x); "
-        f"cache hit rate {cache['hit_rate']:.0%}{suffix}"
-    )
-
-
 def _run_classify_batch(args: argparse.Namespace) -> int:
     problems = _read_batch(args.source)
-    with _open_local_session(args) as session:
-        outcomes = list(
-            session.classify_many(
-                problems, priority=args.priority or "batch", deadline=args.deadline
-            )
-        )
+    outcomes: List[Outcome] = []
+    with _open_session(args) as session:
+        for outcome in session.classify_many(
+            problems, priority=args.priority, deadline=args.deadline
+        ):
+            if not args.json:
+                _print_item_line(outcome)
+            outcomes.append(outcome)
         stats = session.stats()
+    summary = summarize_outcomes(outcomes)
     if args.json:
-        payload = {
-            "items": [outcome.as_dict() for outcome in outcomes],
-            "stats": stats,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    _print_batch_report(outcomes, stats)
+        items = [outcome.as_dict() for outcome in outcomes]
+        print(json.dumps({"items": items, **summary, "stats": stats}, indent=2))
+    else:
+        _print_summary(summary)
     return 0
 
 
@@ -343,18 +374,15 @@ def _census_params(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _run_census(args: argparse.Namespace) -> int:
     params = _census_params(args)
-    with _open_local_session(args) as session:
-        # A census is bulk work: schedule it at the lowest class by default
-        # so an interactive classify sharing the scheduler overtakes it.
+    with _open_session(args) as session:
         outcomes = list(
-            session.census(
-                **params, priority=args.priority or "warm", deadline=args.deadline
-            )
+            session.census(**params, priority=args.priority, deadline=args.deadline)
         )
         stats = session.stats()
+    summary = summarize_outcomes(outcomes)
     counts = tally_outcomes(outcomes)
     if args.json:
-        payload = {"params": params, "counts": counts, "stats": stats}
+        payload = {**summary, "counts": counts, "params": params, "stats": stats}
         print(json.dumps(payload, indent=2))
         return 0
     print(
@@ -363,26 +391,30 @@ def _run_census(args: argparse.Namespace) -> int:
     )
     for value, count in sorted(counts.items(), key=lambda pair: -pair[1]):
         print(f"  {value:16s} {count:5d}")
-    batch = stats["batch"]
-    print(
-        f"\n{batch['full_searches']} full search(es) for {batch['submitted']} "
-        f"problem(s) ({batch['speedup']:.1f}x amortization)"
-    )
+    _print_summary(summary)
     return 0
 
 
 # ----------------------------------------------------------------------
-# warm (local cache warming, incl. wall-clock budgets)
+# warm (cache warming, incl. wall-clock budgets)
 # ----------------------------------------------------------------------
-def _warm_workload(args: argparse.Namespace):
-    problems = None
-    if args.source is not None:
-        problems = _read_batch(args.source)
+def _run_warm(args: argparse.Namespace) -> int:
+    problems = _read_batch(args.source) if args.source is not None else None
     census = _census_params(args) if args.census else None
-    return problems, census
-
-
-def _print_warm_summary(summary: Dict[str, Any]) -> None:
+    if problems is None and census is None:
+        raise UsageError("provide a batch source and/or --census parameters to warm")
+    with _open_session(args) as session:
+        summary = session.warm(
+            problems=problems,
+            census=census,
+            wait=args.wait,
+            priority=args.priority,
+            deadline=args.deadline,
+            budget=args.budget,
+        )
+    if args.json:
+        print(json.dumps(summary, indent=2))
+        return 0
     mode = "waited for" if summary.get("waited") else "scheduled in background:"
     print(
         f"warm: {summary['count']} problem(s), {summary['unique_keys']} unique "
@@ -396,29 +428,6 @@ def _print_warm_summary(summary: Dict[str, Any]) -> None:
             f"{summary['within_budget']} completed within it, "
             f"{summary.get('interrupted', 0)} interrupted"
         )
-
-
-def _run_warm(args: argparse.Namespace) -> int:
-    problems, census = _warm_workload(args)
-    if problems is None and census is None:
-        print(
-            "error: provide a batch source and/or --census parameters to warm",
-            file=sys.stderr,
-        )
-        return 2
-    with _open_local_session(args) as session:
-        summary = session.warm(
-            problems=problems,
-            census=census,
-            wait=args.wait,
-            priority=args.priority,
-            deadline=args.deadline,
-            budget=args.budget,
-        )
-    if args.json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    _print_warm_summary(summary)
     return 0
 
 
@@ -482,20 +491,108 @@ def _run_loadgen(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# metrics (Prometheus text exposition of any endpoint)
+# stats / metrics / trace / cancel / shutdown (one endpoint each)
 # ----------------------------------------------------------------------
-def _print_metrics(session: ClassificationSession, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(session.metrics(), indent=2, sort_keys=True))
+def _run_stats(args: argparse.Namespace) -> int:
+    with _open_session(args) as session:
+        payload = session.stats()
+    if args.json:
+        print(json.dumps(payload, indent=2))
         return 0
-    text = session.metrics_text()
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    service, cache, batch = payload["service"], payload["cache"], payload["batch"]
+    print(
+        f"service:  {service['requests_served']} request(s) served, "
+        f"up {service['uptime_seconds']:.0f}s"
+    )
+    budget = "unbounded" if cache["max_entries"] is None else str(cache["max_entries"])
+    print(
+        f"cache:    {cache['entries']} entries (budget {budget}), "
+        f"hit rate {cache['hit_rate']:.0%}, {cache['evictions']} eviction(s)"
+    )
+    print(
+        f"engine:   {batch['submitted']} submitted, {batch['full_searches']} full "
+        f"search(es) ({batch['speedup']:.1f}x amortization)"
+    )
+    workers = payload.get("workers")
+    if workers:
+        print(
+            f"workers:  {workers['backend']} x{workers['workers']}, "
+            f"{workers['scheduled']} scheduled, {workers['deduped']} deduped, "
+            f"{workers['in_flight']} in flight"
+        )
+        search_times = workers.get("search_times") or {}
+        if search_times.get("count"):
+            print(
+                f"searches: {search_times['count']} completed, "
+                f"p50 {search_times['p50_ms']:.1f} ms, "
+                f"p99 {search_times['p99_ms']:.1f} ms, "
+                f"max {search_times['max_ms']:.1f} ms"
+            )
     return 0
 
 
 def _run_metrics(args: argparse.Namespace) -> int:
-    with ClassificationSession.open(args.endpoint) as session:
-        return _print_metrics(session, args.json)
+    with _open_session(args) as session:
+        if args.json:
+            print(json.dumps(session.metrics(), indent=2, sort_keys=True))
+            return 0
+        text = session.metrics_text()
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return 0
+
+
+def _run_trace(args: argparse.Namespace) -> int:
+    with _open_session(args) as session:
+        payload = session.trace(_request_id(args.request_id))
+    if args.json:
+        print(json.dumps(payload, indent=2))
+        return 0 if payload["found"] else 1
+    if not payload["found"]:
+        print(
+            f"no finished trace for request {payload['request_id']} "
+            "(tracing off, still running, or evicted from the ring)"
+        )
+        return 1
+    trace = payload["trace"]
+    print(
+        f"request {trace['request_id']} ({trace['op']}): "
+        f"outcome {trace['outcome']}, {trace['duration_ms']:.1f} ms"
+    )
+    for span in trace["spans"]:
+        duration = span["duration_ms"]
+        length = "-" if duration is None else f"{duration:.1f} ms"
+        print(
+            f"  {span['name']:12s} [{span['stage']:9s}] "
+            f"{span['start_ms']:8.1f} ms  {length:>10s}  {span['status']}"
+        )
+    return 0
+
+
+def _run_cancel(args: argparse.Namespace) -> int:
+    with _open_session(args) as session:
+        payload = session.cancel(_request_id(args.request_id))
+    if args.json:
+        print(json.dumps(payload, indent=2))
+        return 0
+    if payload["found"]:
+        print(
+            f"cancelled request {payload['request_id']}: "
+            f"{payload['cancelled']} search(es) detached"
+        )
+        return 0
+    print(f"request {payload['request_id']} is not in flight (already done?)")
+    return 1
+
+
+def _run_shutdown(args: argparse.Namespace) -> int:
+    with _open_session(args) as session:
+        payload = session.shutdown()
+    if args.json:
+        print(json.dumps(payload, indent=2))
+        return 0
+    saved = "cache saved" if payload.get("cache_saved") else "no cache file"
+    print(f"service shut down ({saved})")
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -616,38 +713,15 @@ def _run_cache_import(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # serve
 # ----------------------------------------------------------------------
-def _serve_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """Fold an optional ``serve ENDPOINT`` positional into the legacy flags."""
-    if not args.endpoint:
-        return args
-    config = parse_endpoint(args.endpoint)
-    if config.mode == MODE_TCP:
-        args.host = config.host
-        args.port = config.port
-    elif config.mode == MODE_STDIO:
-        args.stdio = True
-    else:
+def _run_serve(args: argparse.Namespace) -> int:
+    config = _session_config(args, serving=True)
+    if config.mode == MODE_LOCAL:
         raise LCLError(
             f"serve expects a tcp:// or stdio: endpoint, got {args.endpoint!r} "
             "(local:// endpoints need no server — open a session on them directly)"
         )
-    if config.cache_path:
-        args.cache = config.cache_path
-    if config.cache_max_entries is not None:
-        args.cache_max_entries = config.cache_max_entries
-    if config.cache_ttl is not None:
-        args.cache_ttl = config.cache_ttl
-    if config.cache_flush_interval is not None:
-        args.cache_flush_interval = config.cache_flush_interval
-    if config.cache_flush_count is not None:
-        args.cache_flush_count = config.cache_flush_count
-    return args
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    args = _serve_settings(args)
     service = ClassificationService(
-        cache=open_cache(_local_config(args)),
+        cache=open_cache(config),
         backend=args.worker_backend,
         workers=args.workers,
     )
@@ -660,238 +734,46 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
 
     try:
-        if args.stdio:
+        if config.mode == MODE_STDIO:
             asyncio.run(service.serve_stdio())
         else:
-            asyncio.run(service.serve_tcp(args.host, args.port, ready))
+            asyncio.run(service.serve_tcp(config.host, config.port, ready))
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         pass
     return 0
 
 
 # ----------------------------------------------------------------------
-# client
-# ----------------------------------------------------------------------
-def _parse_connect(value: str) -> tuple:
-    host, separator, port_text = value.rpartition(":")
-    if not separator or not host or not port_text.isdigit():
-        raise LCLError(f"--connect expects HOST:PORT, got {value!r}")
-    return host, int(port_text)
-
-
-def _client_classify(args: argparse.Namespace, session: ClassificationSession) -> int:
-    problem = _read_problem(args.problem)
-    outcome = session.classify(
-        problem, priority=args.priority, deadline=args.deadline
-    )
-    payload = outcome.as_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0 if outcome.ok else TIMEOUT_EXIT_CODE
-    if not outcome.ok:
-        print(f"problem:    {payload['name']}")
-        print(f"outcome:    {payload['outcome']}")
-        return TIMEOUT_EXIT_CODE
-    print(f"problem:    {payload['name']}")
-    print(f"complexity: {payload['complexity']}")
-    print(f"details:    {payload['details']}")
-    print(f"cached:     {'yes' if payload['from_cache'] else 'no'}")
-    return 0
-
-
-def _client_batch(args: argparse.Namespace, session: ClassificationSession) -> int:
-    problems = _read_batch(args.source)
-    stream = session.classify_many(
-        problems, priority=args.priority, deadline=args.deadline
-    )
-    outcomes: List[Outcome] = []
-    if args.json:
-        outcomes = list(stream)
-    else:
-        for outcome in stream:
-            _print_item_line(outcome.as_dict())
-            outcomes.append(outcome)
-    summary = summarize_outcomes(outcomes)
-    summary["stats"] = session.stats()
-    if args.json:
-        items = [outcome.as_dict() for outcome in outcomes]
-        print(json.dumps({"items": items, "summary": summary}, indent=2))
-        return 0
-    _print_stream_summary(summary)
-    return 0
-
-
-def _client_census(args: argparse.Namespace, session: ClassificationSession) -> int:
-    stream = session.census(
-        **_census_params(args), priority=args.priority, deadline=args.deadline
-    )
-    outcomes: List[Outcome] = []
-    for outcome in stream:
-        if not args.json:
-            _print_item_line(outcome.as_dict())
-        outcomes.append(outcome)
-    summary = summarize_outcomes(outcomes)
-    summary["counts"] = tally_outcomes(outcomes)
-    summary["params"] = _census_params(args)
-    summary["stats"] = session.stats()
-    if args.json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    print("\nCensus tally:")
-    for value, count in sorted(summary["counts"].items(), key=lambda pair: -pair[1]):
-        print(f"  {value:16s} {count:5d}")
-    _print_stream_summary(summary)
-    return 0
-
-
-def _client_cancel(args: argparse.Namespace, session: ClassificationSession) -> int:
-    request_id = int(args.request_id) if args.request_id.isdigit() else args.request_id
-    payload = session.cancel(request_id)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    if payload["found"]:
-        print(
-            f"cancelled request {payload['request_id']}: "
-            f"{payload['cancelled']} search(es) detached"
-        )
-        return 0
-    print(f"request {payload['request_id']} is not in flight (already done?)")
-    return 1
-
-
-def _client_warm(args: argparse.Namespace, session: ClassificationSession) -> int:
-    problems, census = _warm_workload(args)
-    if problems is None and census is None:
-        print(
-            "error: provide a batch source and/or --census parameters to warm",
-            file=sys.stderr,
-        )
-        return 2
-    summary = session.warm(
-        problems=problems, census=census, wait=args.wait, budget=args.budget
-    )
-    if args.json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    _print_warm_summary(summary)
-    return 0
-
-
-def _client_stats(args: argparse.Namespace, session: ClassificationSession) -> int:
-    payload = session.stats()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    service, cache, batch = payload["service"], payload["cache"], payload["batch"]
-    print(
-        f"service:  {service['requests_served']} request(s) served, "
-        f"up {service['uptime_seconds']:.0f}s"
-    )
-    budget = "unbounded" if cache["max_entries"] is None else str(cache["max_entries"])
-    print(
-        f"cache:    {cache['entries']} entries (budget {budget}), "
-        f"hit rate {cache['hit_rate']:.0%}, {cache['evictions']} eviction(s)"
-    )
-    print(
-        f"engine:   {batch['submitted']} submitted, {batch['full_searches']} full "
-        f"search(es) ({batch['speedup']:.1f}x amortization)"
-    )
-    workers = payload.get("workers")
-    if workers:
-        print(
-            f"workers:  {workers['backend']} x{workers['workers']}, "
-            f"{workers['scheduled']} scheduled, {workers['deduped']} deduped, "
-            f"{workers['in_flight']} in flight"
-        )
-        search_times = workers.get("search_times") or {}
-        if search_times.get("count"):
-            print(
-                f"searches: {search_times['count']} completed, "
-                f"p50 {search_times['p50_ms']:.1f} ms, "
-                f"p99 {search_times['p99_ms']:.1f} ms, "
-                f"max {search_times['max_ms']:.1f} ms"
-            )
-    return 0
-
-
-def _client_metrics(args: argparse.Namespace, session: ClassificationSession) -> int:
-    return _print_metrics(session, args.json)
-
-
-def _client_trace(args: argparse.Namespace, session: ClassificationSession) -> int:
-    request_id = int(args.request_id) if args.request_id.isdigit() else args.request_id
-    payload = session.trace(request_id)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0 if payload["found"] else 1
-    if not payload["found"]:
-        print(
-            f"no finished trace for request {payload['request_id']} "
-            "(tracing off, still running, or evicted from the ring)"
-        )
-        return 1
-    trace = payload["trace"]
-    print(
-        f"request {trace['request_id']} ({trace['op']}): "
-        f"outcome {trace['outcome']}, {trace['duration_ms']:.1f} ms"
-    )
-    for span in trace["spans"]:
-        duration = span["duration_ms"]
-        length = "-" if duration is None else f"{duration:.1f} ms"
-        print(
-            f"  {span['name']:12s} [{span['stage']:9s}] "
-            f"{span['start_ms']:8.1f} ms  {length:>10s}  {span['status']}"
-        )
-    return 0
-
-
-def _client_shutdown(args: argparse.Namespace, session: ClassificationSession) -> int:
-    payload = session.shutdown()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    saved = "cache saved" if payload.get("cache_saved") else "no cache file"
-    print(f"service shut down ({saved})")
-    return 0
-
-
-def _run_client(args: argparse.Namespace) -> int:
-    try:
-        with _open_client_session(args) as session:
-            return args.client_handler(args, session)
-    except SessionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-# ----------------------------------------------------------------------
 # argument parser
 # ----------------------------------------------------------------------
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+def _add_json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON output"
     )
+
+
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """``--json``, ``--endpoint`` and the scheduling flags of a problem verb."""
+    _add_json_flag(parser)
     parser.add_argument(
-        "--processes",
-        type=int,
+        "--endpoint",
         default=None,
-        metavar="N",
-        help="legacy alias for --worker-backend processes --workers N",
+        metavar="URL",
+        help=(
+            "session endpoint to run on: local://inline|threads|processes, "
+            "tcp://HOST:PORT (a running 'repro serve'), or stdio: (a private "
+            "one); default: the local:// endpoint the worker and cache flags "
+            "describe"
+        ),
     )
-    _add_worker_flags(parser)
-    _add_scheduling_flags(parser)
-    _add_cache_flags(parser)
-
-
-def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--priority",
         choices=PRIORITIES,
         default=None,
         help=(
             "scheduling class for the searches (interactive > batch > warm; "
-            "default: interactive for classify, batch for batches, warm for censuses)"
+            "default: interactive for classify, batch for batches, warm for "
+            "censuses and warming)"
         ),
     )
     parser.add_argument(
@@ -905,6 +787,13 @@ def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
             "everything behind it"
         ),
     )
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The session flags plus the worker and cache flags of a problem verb."""
+    _add_session_flags(parser)
+    _add_worker_flags(parser)
+    _add_cache_flags(parser)
 
 
 def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
@@ -991,36 +880,6 @@ def _add_census_params(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_warm_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "source",
-        nargs="?",
-        default=None,
-        help="optional batch source (directory, '---'-separated file, or '-')",
-    )
-    parser.add_argument(
-        "--census",
-        action="store_true",
-        help="warm the canonical keys of a random census instead of (or besides) a batch",
-    )
-    _add_census_params(parser)
-    parser.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the scheduled searches finish (default: background)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget spread best-effort across the whole sweep; "
-            "unfinished searches are cancelled when it expires (implies waiting)"
-        ),
-    )
-    parser.add_argument("--json", action="store_true")
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
@@ -1039,10 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify_parser.add_argument(
         "--catalog", action="store_true", help="classify the paper's sample problems instead"
     )
-    classify_parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON output"
-    )
-    _add_scheduling_flags(classify_parser)
+    _add_session_flags(classify_parser)
     classify_parser.set_defaults(handler=_run_classify)
 
     batch_parser = subparsers.add_parser(
@@ -1065,19 +921,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     warm_parser = subparsers.add_parser(
         "warm",
-        help="pre-populate a local classification cache, optionally on a time budget",
+        help="pre-populate an endpoint's cache, optionally on a time budget",
     )
-    _add_warm_arguments(warm_parser)
     warm_parser.add_argument(
-        "--processes",
-        type=int,
+        "source",
+        nargs="?",
         default=None,
-        metavar="N",
-        help="legacy alias for --worker-backend processes --workers N",
+        help="optional batch source (directory, '---'-separated file, or '-')",
     )
-    _add_worker_flags(warm_parser)
-    _add_scheduling_flags(warm_parser)
-    _add_cache_flags(warm_parser)
+    warm_parser.add_argument(
+        "--census",
+        action="store_true",
+        help="warm the canonical keys of a random census instead of (or besides) a batch",
+    )
+    _add_census_params(warm_parser)
+    warm_parser.add_argument(
+        "--wait",
+        action="store_true",
+        help="block until the scheduled searches finish (default: background)",
+    )
+    warm_parser.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "wall-clock budget spread best-effort across the whole sweep; "
+            "unfinished searches are cancelled when it expires (implies waiting)"
+        ),
+    )
+    _add_engine_flags(warm_parser)
     warm_parser.set_defaults(handler=_run_warm)
 
     loadgen_parser = subparsers.add_parser(
@@ -1185,23 +1058,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen_parser.set_defaults(handler=_run_loadgen)
 
-    metrics_parser = subparsers.add_parser(
-        "metrics",
-        help="print an endpoint's metrics in the Prometheus text format",
-    )
-    metrics_parser.add_argument(
-        "endpoint",
-        help=(
-            "session endpoint to scrape (tcp://HOST:PORT for a running "
-            "service; local:// endpoints report a fresh engine)"
+    for name, handler, takes_id, help_text in (
+        ("stats", _run_stats, False, "print an endpoint's cache/engine/worker stats"),
+        (
+            "metrics",
+            _run_metrics,
+            False,
+            "print an endpoint's metrics in the Prometheus text format "
+            "(--json: the repro.metrics/1 snapshot)",
         ),
-    )
-    metrics_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro.metrics/1 snapshot instead of the text format",
-    )
-    metrics_parser.set_defaults(handler=_run_metrics)
+        ("trace", _run_trace, True, "fetch a finished request's span tree by its id"),
+        ("cancel", _run_cancel, True, "cancel a service's in-flight request by its id"),
+        ("shutdown", _run_shutdown, False, "persist a service's cache and stop it"),
+    ):
+        op_parser = subparsers.add_parser(name, help=help_text)
+        op_parser.add_argument(
+            "endpoint",
+            help=(
+                "session endpoint: tcp://HOST:PORT for a running service, "
+                "stdio:, or local:// (a fresh in-process engine)"
+            ),
+        )
+        if takes_id:
+            op_parser.add_argument(
+                "request_id",
+                help="the request's id (numeric ids are matched as integers)",
+            )
+        _add_json_flag(op_parser)
+        op_parser.set_defaults(handler=handler)
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect and maintain an on-disk classification cache"
@@ -1267,6 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop existing entries first instead of merging over them",
     )
 
+
     serve_parser = subparsers.add_parser(
         "serve",
         help="run the long-running classification service (JSON-lines protocol)",
@@ -1276,16 +1161,12 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help=(
-            "service endpoint: tcp://HOST:PORT or stdio: "
-            "(overrides --host/--port/--stdio; query parameters may set "
-            "cache=URL (json:/sqlite:/memory:), cache_max_entries=N, "
-            "cache_ttl, cache_flush_interval, and cache_flush_count)"
+            "service endpoint: tcp://HOST:PORT or stdio: (overrides "
+            "--host/--port; query parameters may set cache=URL "
+            "(json:/sqlite:/memory:), cache_max_entries=N, cache_ttl, "
+            "cache_flush_interval, and cache_flush_count, and the cache "
+            "flags fill in the ones it leaves unset)"
         ),
-    )
-    serve_parser.add_argument(
-        "--stdio",
-        action="store_true",
-        help="serve one connection on stdin/stdout instead of TCP",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="TCP bind address (default: 127.0.0.1)"
@@ -1300,106 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(serve_parser)
     serve_parser.set_defaults(handler=_run_serve)
 
-    client_parser = subparsers.add_parser(
-        "client", help="talk to a running classification service"
-    )
-    client_parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="address of a 'repro serve' TCP service",
-    )
-    client_parser.add_argument(
-        "--retries",
-        type=int,
-        default=20,
-        metavar="N",
-        help="connection attempts before giving up (default: 20, 0.25s apart)",
-    )
-    client_sub = client_parser.add_subparsers(dest="client_command", required=True)
-
-    client_classify = client_sub.add_parser(
-        "classify", help="classify one problem file ('-' for stdin) via the service"
-    )
-    client_classify.add_argument(
-        "problem", help="path to a problem file, or '-' to read standard input"
-    )
-    client_classify.add_argument("--json", action="store_true")
-    _add_scheduling_flags(client_classify)
-    client_classify.set_defaults(client_handler=_client_classify)
-
-    client_batch = client_sub.add_parser(
-        "batch", help="stream a batch through the service, printing items as they finish"
-    )
-    client_batch.add_argument(
-        "source",
-        help="directory of *.txt problem files, a '---'-separated batch file, or '-'",
-    )
-    client_batch.add_argument("--json", action="store_true")
-    _add_scheduling_flags(client_batch)
-    client_batch.set_defaults(client_handler=_client_batch)
-
-    client_census = client_sub.add_parser(
-        "census", help="run a server-side random census, streaming results"
-    )
-    _add_census_params(client_census)
-    client_census.add_argument("--json", action="store_true")
-    _add_scheduling_flags(client_census)
-    client_census.set_defaults(client_handler=_client_census)
-
-    client_cancel = client_sub.add_parser(
-        "cancel",
-        help="cancel an in-flight request by its id (use a second connection)",
-    )
-    client_cancel.add_argument(
-        "request_id",
-        help="id of the in-flight request (numeric ids are matched as integers)",
-    )
-    client_cancel.add_argument("--json", action="store_true")
-    client_cancel.set_defaults(client_handler=_client_cancel)
-
-    client_warm = client_sub.add_parser(
-        "warm",
-        help="pre-populate the service cache ahead of a batch or census",
-    )
-    _add_warm_arguments(client_warm)
-    client_warm.set_defaults(client_handler=_client_warm)
-
-    client_stats = client_sub.add_parser(
-        "stats", help="print the service's cache, engine, and worker statistics"
-    )
-    client_stats.add_argument("--json", action="store_true")
-    client_stats.set_defaults(client_handler=_client_stats)
-
-    client_metrics = client_sub.add_parser(
-        "metrics", help="print the service's metrics in the Prometheus text format"
-    )
-    client_metrics.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro.metrics/1 snapshot instead of the text format",
-    )
-    client_metrics.set_defaults(client_handler=_client_metrics)
-
-    client_trace = client_sub.add_parser(
-        "trace",
-        help="fetch a finished request's span tree by its wire request id",
-    )
-    client_trace.add_argument(
-        "request_id",
-        help="id of the finished request (numeric ids are matched as integers)",
-    )
-    client_trace.add_argument("--json", action="store_true")
-    client_trace.set_defaults(client_handler=_client_trace)
-
-    client_shutdown = client_sub.add_parser(
-        "shutdown", help="persist the service cache and stop the service"
-    )
-    client_shutdown.add_argument("--json", action="store_true")
-    client_shutdown.set_defaults(client_handler=_client_shutdown)
-
-    client_parser.set_defaults(handler=_run_client)
-
     return parser
 
 
@@ -1409,6 +1190,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return USAGE_EXIT_CODE
     except (ValueError, OSError, SessionError) as error:
         # LCLError (malformed problems), JSONDecodeError (corrupt caches),
         # file-system errors, and session/endpoint errors all surface as

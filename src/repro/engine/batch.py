@@ -233,9 +233,6 @@ class BatchClassifier:
     cache:
         The :class:`ClassificationCache` to consult and fill.  A fresh
         in-memory cache is created when omitted.
-    processes:
-        Legacy spelling kept for compatibility: ``processes=N`` with ``N > 1``
-        is shorthand for ``backend="processes", workers=N``.
     backend:
         Name of the worker backend executing uncached searches — ``"inline"``
         (default: synchronous, zero overhead), ``"threads"``, or
@@ -252,7 +249,6 @@ class BatchClassifier:
     def __init__(
         self,
         cache: Optional[ClassificationCache] = None,
-        processes: Optional[int] = None,
         backend: Optional[Any] = None,
         workers: Optional[int] = None,
         scheduler: Optional[ClassificationScheduler] = None,
@@ -268,8 +264,6 @@ class BatchClassifier:
             self.scheduler = scheduler
             self.cache = scheduler.cache
         else:
-            if backend is None and processes is not None and processes > 1:
-                backend, workers = "processes", workers or processes
             if isinstance(backend, WorkerBackend):
                 backend_obj = backend
             else:
@@ -278,7 +272,6 @@ class BatchClassifier:
             self.scheduler = ClassificationScheduler(
                 cache=self.cache, backend=backend_obj
             )
-        self.processes = processes
         self.stats = BatchStats()
         self._stats_lock = threading.Lock()
 
@@ -446,9 +439,8 @@ class BatchClassifier:
         """Shut the worker backend down.
 
         Only closes a backend this classifier created itself (from a backend
-        *name* or the ``processes`` shorthand); an injected scheduler or
-        backend instance stays alive for its other users — whoever built it
-        decides when to close it.
+        *name*); an injected scheduler or backend instance stays alive for
+        its other users — whoever built it decides when to close it.
         """
         if self._owns_scheduler and self._owns_backend:
             self.scheduler.close()

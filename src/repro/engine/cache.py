@@ -223,6 +223,9 @@ class ClassificationCache:
         self._stored_at: Dict[str, float] = {}
         self._dirty: set = set()
         self._dead: set = set()
+        # Keys taken by the backend write in progress: they stay pending
+        # until the write returns and is counted (or fails and re-marks).
+        self._writing = 0
         self._flush_cv = threading.Condition(threading.Lock())
         self._flusher: Optional[threading.Thread] = None
         self._closed = False
@@ -262,7 +265,7 @@ class ClassificationCache:
     def pending_dirty(self) -> int:
         """Keys awaiting a write-behind flush (dirty upserts + deletions)."""
         with self._lock:
-            return len(self._dirty) + len(self._dead)
+            return len(self._dirty) + len(self._dead) + self._writing
 
     def info(self) -> Dict[str, Any]:
         """One JSON-friendly dict describing state + statistics.
@@ -277,7 +280,7 @@ class ClassificationCache:
                 "path": self.path,
                 "backend": self._backend.name,
                 "persistent": self._backend.persistent,
-                "dirty": len(self._dirty) + len(self._dead),
+                "dirty": self.pending_dirty,
                 "ttl_seconds": self.ttl_seconds,
                 "flush_interval": self.flush_interval,
                 "flush_max_dirty": self.flush_max_dirty,
@@ -502,9 +505,23 @@ class ClassificationCache:
             for key, entry in self._entries.items()
         ]
 
+    def _begin_write(self) -> List[str]:
+        """Hand the pending keys to a backend write (lock must be held).
+
+        Returns the dead keys.  The taken keys keep counting as pending
+        until :meth:`_count_flush` (or :meth:`_remark_pending`) settles the
+        write, so ``pending_dirty`` never reads 0 for rows not yet durable.
+        """
+        deletes = list(self._dead)
+        self._writing = len(self._dirty) + len(deletes)
+        self._dirty.clear()
+        self._dead.clear()
+        return deletes
+
     def _remark_pending(self, upserts, deletes) -> None:
         """Re-mark keys after a failed backend write so nothing is lost."""
         with self._lock:
+            self._writing = 0
             for key, _, _ in upserts:
                 if key in self._entries:
                     self._dirty.add(key)
@@ -514,6 +531,7 @@ class ClassificationCache:
 
     def _count_flush(self, written: int) -> None:
         with self._lock:
+            self._writing = 0
             self.stats.flushes += 1
             self.stats.flushed_entries += written
         self._last_flush = time.monotonic()
@@ -534,9 +552,7 @@ class ClassificationCache:
         with self._io_lock:
             with self._lock:
                 rows = self._snapshot_rows()
-                deletes = list(self._dead)
-                self._dirty.clear()
-                self._dead.clear()
+                deletes = self._begin_write()
             try:
                 written = self._backend.write_snapshot(rows, deletes)
             except BaseException:
@@ -568,11 +584,9 @@ class ClassificationCache:
                     (key, self._entries[key], self._stored_at.get(key))
                     for key in dirty
                 ]
-                deletes = list(self._dead)
-                if not upserts and not deletes:
+                if not upserts and not self._dead:
                     return 0
-                self._dirty.clear()
-                self._dead.clear()
+                deletes = self._begin_write()
 
             def snapshot():
                 # Lazy: only whole-file backends pay for the full snapshot,
@@ -609,9 +623,12 @@ class ClassificationCache:
             with self._lock:
                 rows = self._snapshot_rows()
                 entry_count = len(rows)
-                self._dirty.clear()
-                self._dead.clear()
-            self._backend.compact(rows)
+                deletes = self._begin_write()
+            try:
+                self._backend.compact(rows)
+            except BaseException:
+                self._remark_pending(rows, deletes)
+                raise
             if self._backend.persistent:
                 self._count_flush(entry_count)
             return {

@@ -42,7 +42,7 @@ def _latency_section(records: List[RequestRecord]) -> Dict[str, Any]:
     ordered = sorted(record.latency_ms for record in records)
     # The worst request travels *identified*: its request id (when the
     # session ran with observability on) is directly feedable to
-    # `repro client trace` / `session.trace()` to pull the span tree
+    # `repro trace` / `session.trace()` to pull the span tree
     # behind the class's max latency.
     worst = max(records, key=lambda record: record.latency_ms)
     return {

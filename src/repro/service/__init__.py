@@ -24,12 +24,13 @@ Layout:
   structured error objects (authoritative spec in ``docs/service_protocol.md``),
 * :mod:`repro.service.server` — :class:`ClassificationService`, the asyncio
   wire codec over a local driver, speaking the protocol over stdio
-  (``serve --stdio``) and TCP (``serve --host/--port``), plus
+  (``serve stdio:``) and TCP (``serve tcp://HOST:PORT``), plus
   :class:`ThreadedService` for embedding a live TCP service inside tests and
   benchmarks,
 * :mod:`repro.service.client` — :class:`ServiceClient`, a synchronous client
-  that connects over TCP or spawns a private stdio server subprocess, used by
-  the ``python -m repro client`` subcommand.
+  that connects over TCP or spawns a private stdio server subprocess: the
+  wire layer under ``tcp://`` and ``stdio:`` sessions, and so under every
+  CLI verb run on such an endpoint.
 """
 
 from .client import ServiceClient, ServiceError

@@ -14,7 +14,7 @@ a ``local://`` one by construction.  Two transports speak the identical
 protocol:
 
 * **stdio** (:meth:`ClassificationService.serve_stdio`) — one connection on
-  stdin/stdout, for supervisors and piping (``python -m repro serve --stdio``),
+  stdin/stdout, for supervisors and piping (``python -m repro serve stdio:``),
 * **TCP** (:meth:`ClassificationService.serve_tcp`) — any number of
   concurrent connections on a listening socket.
 

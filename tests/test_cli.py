@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.api import Outcome
+from repro.api.outcome import summarize_outcomes
+from repro.cli import _session_config, build_parser, main
 
 
 def test_classify_file(tmp_path, capsys):
@@ -212,9 +214,9 @@ def test_worker_backend_flags_agree_with_serial(capsys):
 def test_serve_and_client_parser_wiring():
     parser = build_parser()
     serve_args = parser.parse_args(
-        ["serve", "--stdio", "--cache", "c.json", "--cache-max-entries", "10"]
+        ["serve", "stdio:", "--cache", "c.json", "--cache-max-entries", "10"]
     )
-    assert serve_args.stdio is True
+    assert _session_config(serve_args, serving=True).mode == "stdio"
     assert serve_args.cache_max_entries == 10
     assert serve_args.worker_backend is None
     assert serve_args.workers is None
@@ -233,10 +235,9 @@ def test_serve_and_client_parser_wiring():
 
     warm_args = parser.parse_args(
         [
-            "client",
-            "--connect",
-            "localhost:8765",
             "warm",
+            "--endpoint",
+            "tcp://localhost:8765",
             "--census",
             "--count",
             "50",
@@ -251,17 +252,20 @@ def test_serve_and_client_parser_wiring():
         parser.parse_args(["census", "--worker-backend", "gpu"])
 
     client_args = parser.parse_args(
-        ["client", "--connect", "localhost:8765", "census", "--count", "5"]
+        ["census", "--endpoint", "tcp://localhost:8765", "--count", "5"]
     )
-    assert client_args.connect == "localhost:8765"
+    assert client_args.endpoint == "tcp://localhost:8765"
     assert client_args.count == 5
 
     with pytest.raises(SystemExit):
-        parser.parse_args(["client", "census"])  # --connect is required
+        parser.parse_args(["stats"])  # the endpoint is required
+    with pytest.raises(SystemExit) as exited:
+        parser.parse_args(["client", "census"])  # one verb per operation
+    assert exited.value.code == 2
 
 
 def test_serve_and_client_over_tcp(tmp_path, capsys):
-    """Full CLI round trip: an embedded service, driven via `main(["client", ...])`."""
+    """Full CLI round trip: an embedded service, driven via `--endpoint tcp://`."""
     from repro.engine.cache import ClassificationCache
     from repro.service.server import ThreadedService
 
@@ -271,24 +275,24 @@ def test_serve_and_client_over_tcp(tmp_path, capsys):
     try:
         problem_file = tmp_path / "problem.txt"
         problem_file.write_text("1 : 2 2\n2 : 1 1\n")
-        connect = f"{host}:{port}"
+        endpoint = f"tcp://{host}:{port}"
 
-        assert main(["client", "--connect", connect, "classify", str(problem_file)]) == 0
+        assert main(["classify", str(problem_file), "--endpoint", endpoint]) == 0
         first = capsys.readouterr().out
         assert "n^Theta(1)" in first and "cached:     no" in first
 
         assert (
-            main(["client", "--connect", connect, "classify", "--json", str(problem_file)])
+            main(["classify", "--json", str(problem_file), "--endpoint", endpoint])
             == 0
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["from_cache"] is True
 
-        assert main(["client", "--connect", connect, "stats"]) == 0
+        assert main(["stats", endpoint]) == 0
         plain_stats = capsys.readouterr().out
         assert "1 entries" in plain_stats and "engine:" in plain_stats
 
-        assert main(["client", "--connect", connect, "stats", "--json"]) == 0
+        assert main(["stats", endpoint, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["cache"]["entries"] == 1
         assert stats["workers"]["backend"] == "threads"
@@ -296,10 +300,9 @@ def test_serve_and_client_over_tcp(tmp_path, capsys):
         assert (
             main(
                 [
-                    "client",
-                    "--connect",
-                    connect,
                     "warm",
+                    "--endpoint",
+                    endpoint,
                     "--census",
                     "--count",
                     "10",
@@ -314,16 +317,16 @@ def test_serve_and_client_over_tcp(tmp_path, capsys):
         assert warm["waited"] is True
 
         assert (
-            main(["client", "--connect", connect, "census", "--count", "10", "--json"])
+            main(["census", "--count", "10", "--json", "--endpoint", endpoint])
             == 0
         )
         census = json.loads(capsys.readouterr().out)
         assert census["hit_rate"] == 1.0  # fully warmed above
 
-        assert main(["client", "--connect", connect, "warm"]) == 2
+        assert main(["warm", "--endpoint", endpoint]) == 2
         assert "provide a batch source" in capsys.readouterr().err
 
-        assert main(["client", "--connect", connect, "shutdown"]) == 0
+        assert main(["shutdown", endpoint]) == 0
         assert "service shut down" in capsys.readouterr().out
     finally:
         service.stop()
@@ -356,10 +359,10 @@ def test_scheduling_flags_parser_wiring():
     )
     assert args.deadline == 0.5 and args.priority == "batch"
     args = parser.parse_args(
-        ["client", "--connect", "h:1", "classify", "p.txt", "--deadline", "3"]
+        ["classify", "p.txt", "--endpoint", "tcp://h:1", "--deadline", "3"]
     )
     assert args.deadline == 3.0
-    args = parser.parse_args(["client", "--connect", "h:1", "cancel", "42"])
+    args = parser.parse_args(["cancel", "tcp://h:1", "42"])
     assert args.request_id == "42"
     with pytest.raises(SystemExit):
         parser.parse_args(["census", "--priority", "urgent"])
@@ -420,19 +423,19 @@ def test_census_deadline_tallies_timeouts(capsys):
 
 
 def test_client_cancel_round_trip(capsys):
-    """`client cancel` against a live service: unknown ids report not-found."""
+    """`cancel` against a live service: unknown ids report not-found."""
     from repro.service.server import ThreadedService
 
     service = ThreadedService()
     host, port = service.start()
     try:
-        connect = f"{host}:{port}"
-        assert main(["client", "--connect", connect, "cancel", "123"]) == 1
+        endpoint = f"tcp://{host}:{port}"
+        assert main(["cancel", endpoint, "123"]) == 1
         assert "not in flight" in capsys.readouterr().out
-        assert main(["client", "--connect", connect, "cancel", "123", "--json"]) == 0
+        assert main(["cancel", endpoint, "123", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"request_id": 123, "found": False, "cancelled": 0}
-        assert main(["client", "--connect", connect, "shutdown"]) == 0
+        assert main(["shutdown", endpoint]) == 0
         capsys.readouterr()
     finally:
         service.stop()
@@ -445,27 +448,41 @@ def test_client_classify_deadline_over_tcp(tmp_path, capsys):
     service = ThreadedService(backend="threads", workers=2)
     host, port = service.start()
     try:
-        connect = f"{host}:{port}"
+        endpoint = f"tcp://{host}:{port}"
         assert (
             main(
-                ["client", "--connect", connect, "classify", str(path),
+                ["classify", str(path), "--endpoint", endpoint,
                  "--deadline", "0.25", "--json"]
             )
             == 124
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "timeout"
-        assert main(["client", "--connect", connect, "shutdown"]) == 0
+        assert main(["shutdown", endpoint]) == 0
         capsys.readouterr()
     finally:
         service.stop()
 
 
-def test_classify_catalog_rejects_scheduling_flags(capsys):
-    assert main(["classify", "--catalog", "--deadline", "1"]) == 2
-    assert "--catalog" in capsys.readouterr().err
-    assert main(["classify", "--catalog", "--priority", "interactive"]) == 2
-    assert "--catalog" in capsys.readouterr().err
+def test_classify_catalog_honours_scheduling_flags(capsys):
+    """`--catalog` runs through the session, so the session flags apply."""
+    assert main(["classify", "--catalog", "--deadline", "60", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload and all(entry["ok"] for entry in payload)
+    assert (
+        main(
+            [
+                "classify",
+                "--catalog",
+                "--priority",
+                "batch",
+                "--endpoint",
+                "local://threads?workers=2",
+            ]
+        )
+        == 0
+    )
+    assert "UNEXPECTED" not in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +501,7 @@ def test_warm_parser_wiring():
     args = parser.parse_args(["serve"])
     assert args.endpoint is None
     args = parser.parse_args(
-        ["client", "--connect", "h:1", "warm", "--census", "--budget", "2.5"]
+        ["warm", "--endpoint", "tcp://h:1", "--census", "--budget", "2.5"]
     )
     assert args.budget == 2.5
 
@@ -539,16 +556,64 @@ def test_warm_subcommand_requires_workload(capsys):
 
 
 def test_serve_endpoint_folds_into_settings():
-    from repro.cli import _serve_settings
-
     parser = build_parser()
-    args = _serve_settings(
-        parser.parse_args(["serve", "tcp://0.0.0.0:9111?cache=/tmp/x.json"])
+    config = _session_config(
+        parser.parse_args(["serve", "tcp://0.0.0.0:9111?cache=/tmp/x.json"]),
+        serving=True,
     )
-    assert args.host == "0.0.0.0" and args.port == 9111
-    assert args.cache == "/tmp/x.json"
-    args = _serve_settings(parser.parse_args(["serve", "stdio:"]))
-    assert args.stdio is True
+    assert config.host == "0.0.0.0" and config.port == 9111
+    assert config.cache_path == "/tmp/x.json"
+    config = _session_config(parser.parse_args(["serve", "stdio:"]), serving=True)
+    assert config.mode == "stdio"
+    # Without an endpoint, serve listens on --host/--port; flags fill in
+    # what the URL leaves unset and worker flags are the service's own.
+    config = _session_config(
+        parser.parse_args(
+            ["serve", "--port", "0", "--cache", "c.json", "--workers", "3"]
+        ),
+        serving=True,
+    )
+    assert (config.mode, config.host, config.port) == ("tcp", "127.0.0.1", 0)
+    assert config.cache_path == "c.json"
+
+
+def test_endpoint_flags_fill_in_or_exit_2(tmp_path, capsys):
+    """Flags fill in the URL's unset fields; any other flag is a usage error."""
+    batch_file = tmp_path / "b.txt"
+    batch_file.write_text("1 : 1 1\n")
+    parser = build_parser()
+    config = _session_config(
+        parser.parse_args(
+            ["census", "--worker-backend", "threads", "--workers", "2",
+             "--cache", "c.json"]
+        )
+    )
+    assert config.endpoint() == "local://threads?workers=2&cache=c.json"
+    config = _session_config(
+        parser.parse_args(
+            ["census", "--endpoint", "local://threads?workers=2", "--cache-ttl", "5"]
+        )
+    )
+    assert (config.backend, config.workers, config.cache_ttl) == ("threads", 2, 5.0)
+    config = _session_config(
+        parser.parse_args(["warm", "--endpoint", "stdio:", "--cache", "c.json"])
+    )
+    assert config.cache_path == "c.json"
+
+    for argv in (
+        # worker flags on endpoints whose engine runs in a service
+        ["census", "--endpoint", "tcp://127.0.0.1:9", "--workers", "2"],
+        ["census", "--endpoint", "stdio:", "--worker-backend", "threads"],
+        # cache flags on a connecting tcp:// session
+        ["classify-batch", str(batch_file), "--endpoint", "tcp://127.0.0.1:9",
+         "--cache", "c.json"],
+        # flags that contradict the URL
+        ["census", "--endpoint", "local://inline", "--worker-backend", "threads"],
+        ["warm", "--census", "--endpoint", "local://threads?workers=2",
+         "--workers", "4"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: --"), argv
 
 
 def test_serve_rejects_local_endpoint(capsys):
@@ -562,14 +627,13 @@ def test_client_warm_budget_over_tcp(capsys):
     service = ThreadedService(backend="threads", workers=2)
     host, port = service.start()
     try:
-        connect = f"{host}:{port}"
+        endpoint = f"tcp://{host}:{port}"
         assert (
             main(
                 [
-                    "client",
-                    "--connect",
-                    connect,
                     "warm",
+                    "--endpoint",
+                    endpoint,
                     "--census",
                     "--count",
                     "15",
@@ -583,7 +647,7 @@ def test_client_warm_budget_over_tcp(capsys):
         summary = json.loads(capsys.readouterr().out)
         assert summary["waited"] is True
         assert summary["within_budget"] == summary["unique_keys"]
-        assert main(["client", "--connect", connect, "shutdown"]) == 0
+        assert main(["shutdown", endpoint]) == 0
         capsys.readouterr()
     finally:
         service.stop()
@@ -595,15 +659,83 @@ def test_client_stats_reports_search_times(tmp_path, capsys):
     service = ThreadedService(backend="threads", workers=2)
     host, port = service.start()
     try:
-        connect = f"{host}:{port}"
+        endpoint = f"tcp://{host}:{port}"
         problem_file = tmp_path / "problem.txt"
         problem_file.write_text("1 : 2 2\n2 : 1 1\n")
-        assert main(["client", "--connect", connect, "classify", str(problem_file)]) == 0
+        assert main(["classify", str(problem_file), "--endpoint", endpoint]) == 0
         capsys.readouterr()
-        assert main(["client", "--connect", connect, "stats"]) == 0
+        assert main(["stats", endpoint]) == 0
         out = capsys.readouterr().out
         assert "searches: 1 completed" in out
-        assert main(["client", "--connect", connect, "shutdown"]) == 0
+        assert main(["shutdown", endpoint]) == 0
         capsys.readouterr()
     finally:
         service.stop()
+
+
+# ----------------------------------------------------------------------
+# One verb per operation: the same JSON shape on every endpoint
+# ----------------------------------------------------------------------
+def _key_shape(value):
+    """The nested key sets of a JSON document (lists by their first element)."""
+    if isinstance(value, dict):
+        return {key: _key_shape(item) for key, item in value.items()}
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [_key_shape(value[0])]
+    return None
+
+
+def _triples(items):
+    return [(item["name"], item["outcome"], item["complexity"]) for item in items]
+
+
+def test_endpoint_shape_parity(tmp_path, capsys):
+    """`local://inline` and a `tcp://` service print identically shaped JSON."""
+    from repro.service.server import ThreadedService
+
+    problem_file = tmp_path / "problem.txt"
+    problem_file.write_text("1 : 2 2\n2 : 1 1\n")
+    batch_file = tmp_path / "many.txt"
+    batch_file.write_text(
+        "# name: two-coloring\n1 : 2 2\n2 : 1 1\n---\n1 : 1 1\n---\n2 : 1 1\n1 : 2 2\n"
+    )
+    verbs = {
+        "classify": ["classify", str(problem_file), "--json"],
+        "classify-batch": ["classify-batch", str(batch_file), "--json"],
+        "census": ["census", "--count", "12", "--json"],
+        "warm": [
+            "warm", str(batch_file), "--census", "--count", "12", "--wait", "--json"
+        ],
+    }
+    service = ThreadedService()
+    host, port = service.start()
+    tcp = f"tcp://{host}:{port}"
+    payloads = {}
+    try:
+        for endpoint in ("local://inline", tcp):
+            for verb, argv in verbs.items():
+                assert main(argv + ["--endpoint", endpoint]) == 0, (verb, endpoint)
+                payloads[verb, endpoint] = json.loads(capsys.readouterr().out)
+        assert main(["shutdown", tcp]) == 0
+        capsys.readouterr()
+    finally:
+        service.stop()
+
+    for verb in verbs:
+        local, remote = payloads[verb, "local://inline"], payloads[verb, tcp]
+        assert _key_shape(local) == _key_shape(remote), verb
+        if verb == "classify":
+            assert _triples([local]) == _triples([remote])
+            assert set(local) == {"problem", *Outcome.from_payload(local).as_dict()}
+        elif verb == "classify-batch":
+            assert _triples(local["items"]) == _triples(remote["items"])
+            assert set(local) == {"items", *summarize_outcomes([]), "stats"}
+        elif verb == "census":
+            assert local["counts"] == remote["counts"]
+            assert local["params"] == remote["params"]
+            assert set(local) == {*summarize_outcomes([]), "counts", "params", "stats"}
+        else:
+            assert (local["count"], local["unique_keys"]) == (
+                remote["count"],
+                remote["unique_keys"],
+            )

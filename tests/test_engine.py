@@ -358,7 +358,7 @@ class TestBatchClassifier:
     def test_multiprocessing_agrees_with_serial(self):
         problems = [random_problem(3, density=0.25, seed=seed) for seed in range(12)]
         serial = BatchClassifier()
-        parallel = BatchClassifier(processes=2)
+        parallel = BatchClassifier(backend="processes", workers=2)
         serial_items = serial.classify_many(problems)
         parallel_items = parallel.classify_many(problems)
         assert [item.result for item in serial_items] == [

@@ -767,11 +767,11 @@ class TestClassifierBackends:
             classify(problem).complexity for problem in problems
         ]
 
-    def test_legacy_processes_argument_maps_to_process_backend(self):
-        with BatchClassifier(processes=2) as classifier:
+    def test_processes_backend_builds_a_process_pool(self):
+        with BatchClassifier(backend="processes", workers=2) as classifier:
             assert classifier.scheduler.backend.name == "processes"
             assert classifier.scheduler.backend.workers == 2
-        with BatchClassifier(processes=1) as serial:
+        with BatchClassifier(backend="inline", workers=1) as serial:
             assert serial.scheduler.backend.name == "inline"
 
     def test_submit_item_resolves_to_the_same_result(self):
