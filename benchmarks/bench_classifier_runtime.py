@@ -13,8 +13,9 @@ import time
 
 import pytest
 
+from repro.api import connect
 from repro.core import classify
-from repro.engine import BatchClassifier
+from repro.engine import batch
 from repro.workers import ClassificationScheduler, create_backend
 from repro.problems import (
     branch_two_coloring,
@@ -74,8 +75,10 @@ def test_worker_backend_throughput(benchmark, backend_name):
     backend.probe()
 
     def cold_batch():
+        # Never closed: closing the scheduler would shut the shared pool.
         scheduler = ClassificationScheduler(backend=backend)
-        return BatchClassifier(scheduler=scheduler).classify_many(problems)
+        pendings = [batch.submit(scheduler, problem) for problem in problems]
+        return [pending.result() for pending in pendings]
 
     try:
         items = benchmark(cold_batch)
@@ -87,28 +90,28 @@ def test_worker_backend_throughput(benchmark, backend_name):
 
 
 def test_warm_cache_latency(benchmark):
-    """A fully warmed classifier answers a batch with zero searches.
+    """A fully warmed session answers a batch with zero searches.
 
     Measures the translate-and-relabel overhead that remains after the
     scheduler has eliminated every certificate search — the latency floor of
     a warmed service.
     """
     problems = [random_problem(3, density=0.4, seed=seed) for seed in range(25)]
-    classifier = BatchClassifier()
-    cold_start = time.perf_counter()
-    classifier.classify_many(problems)
-    cold_seconds = time.perf_counter() - cold_start
+    with connect("local://inline") as session:
+        cold_start = time.perf_counter()
+        list(session.classify_many(problems))
+        cold_seconds = time.perf_counter() - cold_start
 
-    durations = []
+        durations = []
 
-    def warm_batch():
-        round_start = time.perf_counter()
-        items = classifier.classify_many(problems)
-        durations.append(time.perf_counter() - round_start)
-        return items
+        def warm_batch():
+            round_start = time.perf_counter()
+            outcomes = list(session.classify_many(problems))
+            durations.append(time.perf_counter() - round_start)
+            return outcomes
 
-    warm_items = benchmark(warm_batch)
-    assert all(item.from_cache for item in warm_items)
+        warm_outcomes = benchmark(warm_batch)
+    assert all(outcome.from_cache for outcome in warm_outcomes)
     warm_seconds = min(durations)
     print(
         f"\nWarm-cache floor: cold {cold_seconds * 1000:.2f} ms, "

@@ -35,7 +35,7 @@ import pytest
 
 from repro.api import connect
 from repro.core import ComplexityClass, classify
-from repro.engine import BatchClassifier, ClassificationCache
+from repro.engine import ClassificationCache, batch
 from repro.problems.random_problems import random_problem
 from repro.service import ThreadedService
 from repro.workers import ClassificationScheduler, ProcessBackend, usable_cpus
@@ -158,10 +158,10 @@ def test_parallel_census_speedup(benchmark):
     problems = [random_problem(3, density=0.25, seed=seed) for seed in range(48)]
 
     start = time.perf_counter()
-    with BatchClassifier(backend="inline") as serial:
-        serial_items = serial.classify_many(problems)
-    serial_seconds = time.perf_counter() - start
-    searches = serial.stats.full_searches
+    with connect("local://inline") as serial:
+        serial_items = list(serial.classify_many(problems))
+        serial_seconds = time.perf_counter() - start
+        searches = serial.stats()["batch"]["full_searches"]
 
     # One pool for every round, spawned (and import-warmed) before timing:
     # the rounds should measure search parallelism, not interpreter startup.
@@ -173,11 +173,13 @@ def test_parallel_census_speedup(benchmark):
     def parallel_census():
         round_start = time.perf_counter()
         # Fresh cache + scheduler per round (so every round is a cold
-        # census), sharing the pre-spawned pool.
+        # census), sharing the pre-spawned pool; never closed, since closing
+        # the scheduler would shut the pool.
         scheduler = ClassificationScheduler(
             cache=ClassificationCache(), backend=backend
         )
-        items = BatchClassifier(scheduler=scheduler).classify_many(problems)
+        pendings = [batch.submit(scheduler, problem) for problem in problems]
+        items = [pending.result() for pending in pendings]
         durations.append(time.perf_counter() - round_start)
         return items
 

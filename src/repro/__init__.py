@@ -9,15 +9,17 @@ The package provides:
 * the rooted-tree and automata substrates,
 * a LOCAL/CONGEST simulator with certificate-driven distributed solvers,
 * a batch classification engine — canonical forms invariant under label
-  renaming, a result cache keyed by them, and a deduplicating
-  ``BatchClassifier`` with optional multiprocessing (``repro.engine``),
+  renaming and a result cache keyed by them (``repro.engine``), behind a
+  single-flight scheduler on inline, thread or process workers
+  (``repro.workers``),
 * a catalog of the paper's sample problems and an experiment harness.
 
 The command line (``python -m repro``) exposes ``classify`` (single problems
 or the paper's catalog), ``classify-batch`` (directories or multi-problem
 files, deduplicated through the engine), ``census`` (random-problem sweeps),
-``warm`` (time-budgeted cache warming), and the ``serve``/``client`` pair;
-every subcommand accepts ``--json`` for machine-readable output.
+``warm`` (time-budgeted cache warming), ``serve``, and ``stats``/
+``metrics``/``trace``/``cancel``/``shutdown`` on any endpoint; the
+problem verbs take ``--endpoint URL`` and ``--json``.
 
 Quick start — the session facade of :mod:`repro.api` is the one front door
 for classification, whatever the execution backend::
@@ -35,8 +37,8 @@ Core quick start (certificates and solvers)::
     result = classify(problems.maximal_independent_set())
     print(result.complexity)        # ComplexityClass.CONSTANT
 
-The lower-level constructors (``BatchClassifier``, ``ServiceClient``) remain
-as the implementation layer; prefer sessions in new code.
+The lower-level pieces (``ClassificationScheduler``, ``ServiceClient``)
+remain as the implementation layer; prefer sessions in new code.
 """
 
 from . import automata, core, labeling, problems, trees
@@ -51,14 +53,13 @@ from .core import (
     parse_problem,
 )
 from . import engine
-from .engine import BatchClassifier, ClassificationCache, canonical_form
+from .engine import ClassificationCache, canonical_form
 from . import api
 from .api import ClassificationSession, Outcome, SessionConfig, connect
 
 __version__ = "1.2.0"
 
 __all__ = [
-    "BatchClassifier",
     "ClassificationCache",
     "ClassificationResult",
     "ClassificationSession",

@@ -25,11 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..api.session import connect
 from ..core.classifier import classify
 from ..core.complexity import ComplexityClass
 from ..core.problem import LCLProblem
 from ..distributed.solvers.base import Solver
-from ..engine.batch import BatchClassifier
 from ..labeling.verifier import verify_labeling
 from ..problems.random_problems import random_problem
 from ..trees.rooted_tree import RootedTree
@@ -87,24 +87,20 @@ def landscape_census(
     density: float,
     count: int,
     delta: int = 2,
-    classifier: Optional[BatchClassifier] = None,
 ) -> Dict[ComplexityClass, int]:
     """Classify ``count`` random problems and count the complexity classes.
 
-    Classification routes through a :class:`~repro.engine.batch.BatchClassifier`
-    so that isomorphic draws share a single certificate search; pass your own
-    ``classifier`` to reuse its cache across censuses (or to inspect its
-    hit/miss statistics afterwards).
+    Classification runs through a ``local://inline`` session, so isomorphic
+    draws share a single certificate search.
     """
-    if classifier is None:
-        classifier = BatchClassifier()
     problems = [
         random_problem(num_labels, delta=delta, density=density, seed=seed)
         for seed in range(count)
     ]
     counts: Counter = Counter()
-    for item in classifier.classify_many(problems):
-        counts[item.result.complexity] += 1
+    with connect("local://inline") as session:
+        for outcome in session.classify_many(problems):
+            counts[outcome.result.complexity] += 1
     return dict(counts)
 
 

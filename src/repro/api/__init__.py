@@ -1,10 +1,9 @@
 """repro.api — the unified classification front door.
 
-Four PRs of growth left the package with four divergent entry points for the
-same operation (``repro.classify``, ``BatchClassifier``,
-``ClassificationScheduler.submit``, ``ServiceClient.classify``), each with
-its own kwargs, errors, and result shape.  This package is the single seam
-on top of them:
+The package grew several entry points for the same operation
+(``repro.classify``, ``ClassificationScheduler.submit``,
+``ServiceClient.classify``), each with its own kwargs, errors, and result
+shape.  This package is the single seam on top of them:
 
 * :class:`ClassificationSession` — the one supported way to classify,
   constructed from a URL-style endpoint: ``local://inline``,
@@ -29,10 +28,10 @@ Quick start::
             ...
         print(session.stats()["workers"]["search_times"]["p99_ms"])
 
-The legacy constructors (``BatchClassifier``, ``ServiceClient``,
-``ClassificationScheduler``) remain as the implementation layer and for
-backwards compatibility, but new code — and everything in ``repro.cli``,
-``examples/`` and the census benchmarks — goes through sessions.
+The lower-level pieces (``ServiceClient``, ``ClassificationScheduler``)
+remain as the implementation layer, but new code — and everything in
+``repro.cli``, ``examples/`` and the census benchmarks — goes through
+sessions.
 """
 
 from . import errors

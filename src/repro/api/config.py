@@ -1,10 +1,10 @@
 """Typed session configuration and URL-style endpoint parsing.
 
-A :class:`SessionConfig` absorbs the kwargs that used to be scattered across
-``BatchClassifier(cache=..., backend=..., workers=...)``,
-``ClassificationScheduler(...)`` and ``ServiceClient.connect_tcp(...)`` into
-one frozen dataclass, and every config has a canonical URL spelling so
-endpoints travel well through CLIs, env vars, and config files:
+A :class:`SessionConfig` absorbs the cache, worker-backend and connection
+kwargs of ``ClassificationCache(...)``, ``ClassificationScheduler(...)`` and
+``ServiceClient.connect_tcp(...)`` into one frozen dataclass, and every
+config has a canonical URL spelling so endpoints travel well through CLIs,
+env vars, and config files:
 
 ``local://inline``
     Synchronous in-process classification (the zero-dependency default).

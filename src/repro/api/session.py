@@ -18,9 +18,9 @@ fields on every endpoint, and every failure raises the unified
 :mod:`repro.api.errors` hierarchy; the endpoint parity tests assert both.
 
 Two interchangeable drivers implement the surface.  :class:`LocalDriver`
-owns a :class:`~repro.engine.batch.BatchClassifier` (and therefore a
-scheduler and cache), the tracer and the metrics registry; ``_RemoteDriver``
-owns a :class:`~repro.service.client.ServiceClient` connection.  The service
+owns the worker backend, the single-flight scheduler, the cache, the tracer
+and the metrics registry; ``_RemoteDriver`` owns a
+:class:`~repro.service.client.ServiceClient` connection.  The service
 on the other end of that connection hosts a :class:`LocalDriver` of its own
 and validates requests with the functions below (:func:`resolve_problem`,
 :func:`census_problems`, :func:`validate_priority`), so a remote request
@@ -49,14 +49,16 @@ from typing import (
 
 from ..core.parser import parse_problem
 from ..core.problem import LCLError, LCLProblem
-from ..engine.batch import BatchClassifier, PendingClassification
+from ..engine import batch
+from ..engine.batch import BatchStats, PendingClassification
 from ..engine.cache import ClassificationCache
 from ..engine.canonical import canonical_form
 from ..engine.serialization import problem_from_dict, problem_to_dict
 from ..obs import build_registry, render_prometheus
 from ..obs.trace import DISABLED_TRACER, RequestTrace, Tracer
 from ..problems.random_problems import random_problem
-from ..workers.scheduler import PRIORITIES
+from ..workers.backends import create_backend
+from ..workers.scheduler import JOB_SCHEDULED, PRIORITIES, ClassificationScheduler
 from .config import MODE_LOCAL, MODE_TCP, SessionConfig, parse_endpoint
 from .errors import (
     InternalError,
@@ -242,28 +244,31 @@ def _failed(trace: Optional[RequestTrace], error: Exception) -> SessionError:
 class LocalDriver:
     """The in-process engine behind local sessions and the service.
 
-    Owns one :class:`~repro.engine.batch.BatchClassifier` (and with it the
-    scheduler and the cache), the env-gated tracer, and the metrics registry
-    built by :func:`~repro.obs.build_registry`.  A ``local://`` session calls
-    it directly; :class:`~repro.service.server.ClassificationService` hosts
-    one and only translates frames into calls on it.
+    Owns the worker backend the config names, the
+    :class:`~repro.workers.scheduler.ClassificationScheduler` running
+    searches on it, the cache, the env-gated tracer, and the metrics
+    registry built by :func:`~repro.obs.build_registry`.  A ``local://``
+    session calls it directly;
+    :class:`~repro.service.server.ClassificationService` hosts one and only
+    translates frames into calls on it.  Every classification goes through
+    :func:`repro.engine.batch.submit`.
 
     ``cache`` replaces the config's cache parameters with a ready cache.
     ``requests_served`` counts front-door requests: a session's
     classifications count themselves, while the service calls
-    :meth:`count_request` once per decoded request line.
+    :meth:`count_request` once per decoded request line.  ``batch_stats``
+    counts submissions and the full searches they started.
     """
 
     def __init__(
         self, config: SessionConfig, cache: Optional[ClassificationCache] = None
     ) -> None:
-        self.classifier = BatchClassifier(
-            cache=cache if cache is not None else open_cache(config),
-            backend=config.backend,
-            workers=config.workers,
+        self.cache = cache if cache is not None else open_cache(config)
+        self.scheduler = ClassificationScheduler(
+            cache=self.cache, backend=create_backend(config.backend, config.workers)
         )
-        self.cache = self.classifier.cache
-        self.scheduler = self.classifier.scheduler
+        self.batch_stats = BatchStats()
+        self._batch_lock = threading.Lock()
         # `obs=0` skips the tracer and the registry; `self.tracer.start()`
         # then returns None and every trace branch below is dead.
         self._obs = config.obs
@@ -271,16 +276,7 @@ class LocalDriver:
         self.requests_served = 0
         self._served_lock = threading.Lock()
         self.started_at = time.monotonic()
-        self.registry = (
-            build_registry(
-                self.classifier,
-                self.tracer,
-                lambda: self.requests_served,
-                self.started_at,
-            )
-            if config.obs
-            else None
-        )
+        self.registry = build_registry(self) if config.obs else None
 
     def count_request(self) -> None:
         with self._served_lock:
@@ -302,11 +298,14 @@ class LocalDriver:
     ) -> PendingClassification:
         """Submit ``problem`` without waiting; :meth:`resolve` collects it."""
         try:
-            return self.classifier.submit_item(
-                problem, priority=priority, deadline=deadline, trace=trace
-            )
+            pending = batch.submit(self.scheduler, problem, priority, deadline, trace)
         except Exception as error:  # noqa: BLE001 - one internal-error surface
             raise _failed(trace, error)
+        with self._batch_lock:
+            self.batch_stats.submitted += 1
+            if pending.job is not None and pending.job.kind == JOB_SCHEDULED:
+                self.batch_stats.full_searches += 1
+        return pending
 
     def resolve(
         self,
@@ -408,7 +407,7 @@ class LocalDriver:
             },
             # cache.info() is the one source of the cache-section shape.
             "cache": self.cache.info(),
-            "batch": self.classifier.stats.as_dict(),
+            "batch": self.batch_stats.as_dict(),
             "workers": self.scheduler.stats_payload(),
         }
         if self._obs:
@@ -450,7 +449,7 @@ class LocalDriver:
         # the cache first; cache.close() then persists everything
         # outstanding (a full snapshot when a durable path is configured)
         # and stops the write-behind flusher, so shutdown loses nothing.
-        self.classifier.close()
+        self.scheduler.close()
         self.cache.close()
         self.tracer.close()
 

@@ -11,11 +11,11 @@ fleets of problems:
   file, sqlite-WAL, or memory-only), with hit/miss/eviction/flush
   statistics, optional TTL, write-behind persistence, and an optional LRU
   ``max_entries`` budget enforced in memory and on disk,
-* :mod:`repro.engine.batch` — :class:`BatchClassifier`, which deduplicates a
-  stream of problems by canonical key, routes unique representatives through
-  the single-flight scheduler of :mod:`repro.workers` (inline, thread-pool,
-  or process-pool execution), and translates cached results back through
-  each problem's label bijection,
+* :mod:`repro.engine.batch` — :func:`~repro.engine.batch.submit`, which
+  canonicalizes one problem within its deadline, hands the form to the
+  single-flight scheduler of :mod:`repro.workers` (inline, thread-pool, or
+  process-pool execution), and translates the cached canonical result back
+  through the problem's label bijection,
 * :mod:`repro.engine.serialization` — dict/JSON round-tripping of problems
   and classification results, so results survive process boundaries and the
   on-disk cache.
@@ -30,7 +30,7 @@ from .backends import (
     create_backend,
     parse_cache_url,
 )
-from .batch import BatchClassifier, BatchItem, BatchStats
+from .batch import BatchItem, BatchStats
 from .cache import CacheStats, ClassificationCache
 from .canonical import CanonicalForm, canonical_form, canonical_key
 from .serialization import (
@@ -44,7 +44,6 @@ from .serialization import (
 )
 
 __all__ = [
-    "BatchClassifier",
     "BatchItem",
     "BatchStats",
     "CacheBackend",

@@ -4,8 +4,8 @@ The cache stores *serialized* classification results (see
 :mod:`repro.engine.serialization`) indexed by the canonical-form key of
 :mod:`repro.engine.canonical`.  Stored results are expressed in the canonical
 alphabet; translating them back into a caller's original alphabet is the
-responsibility of :class:`repro.engine.batch.BatchClassifier`, which owns the
-label bijections.
+responsibility of :class:`repro.engine.batch.PendingClassification`, which
+holds the submitted problem's label bijection.
 
 Storage tiers
 -------------
@@ -424,16 +424,6 @@ class ClassificationCache:
         with self._lock:
             for key in list(self._entries):
                 self._drop_entry(key)
-
-    def add_hits(self, count: int) -> None:
-        """Count ``count`` extra hits under the cache lock.
-
-        For callers that answer duplicate submissions from captured payloads
-        instead of per-key lookups (``BatchClassifier.classify_many``); a bare
-        ``stats.hits += n`` from their thread would race the locked updates.
-        """
-        with self._lock:
-            self.stats.hits += count
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction/expiry/flush counters."""

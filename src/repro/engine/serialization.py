@@ -1,10 +1,10 @@
 """JSON-friendly serialization of problems and classification results.
 
 The batch engine needs classification results to survive two process
-boundaries: the ``multiprocessing`` workers of
-:class:`repro.engine.batch.BatchClassifier` and the on-disk JSON cache of
-:class:`repro.engine.cache.ClassificationCache`.  This module converts the
-core value types (:class:`~repro.core.problem.LCLProblem`,
+boundaries: the ``processes`` worker backend of :mod:`repro.workers` and the
+on-disk cache of :class:`repro.engine.cache.ClassificationCache`.  This
+module converts the core value types
+(:class:`~repro.core.problem.LCLProblem`,
 :class:`~repro.core.complexity.ClassificationResult`,
 :class:`~repro.core.classifier.ClassificationArtifacts`) to and from plain
 dictionaries containing only JSON primitives.

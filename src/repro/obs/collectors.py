@@ -5,11 +5,10 @@ observability layer: ``ClassificationSession.metrics()`` must expose
 field-identical family names and types whether the engine runs in-process
 or behind ``tcp://``.  Rather than testing two hand-maintained registries
 into agreement, there is exactly one builder — :func:`build_registry` — fed
-by the same ingredients on both sides: a
-:class:`~repro.engine.batch.BatchClassifier` (which owns the scheduler,
-cache, and search-time histogram), a :class:`~repro.obs.trace.Tracer`, and
-the front door's request counter and start time.  The parity test then
-pins what construction already guarantees.
+the same :class:`~repro.api.session.LocalDriver` on both sides (a local
+session runs one, the service hosts one): its scheduler, cache, search-time
+histogram, batch counters, tracer, and front-door request counter and start
+time.  The parity test then pins what construction already guarantees.
 
 Metric catalog (all prefixed ``repro_``; durations in milliseconds, the
 repo's histogram idiom):
@@ -44,17 +43,18 @@ repo's histogram idiom):
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from .metrics import COUNTER, GAUGE, HISTOGRAM, MetricsRegistry
 from .trace import Tracer
 
 if TYPE_CHECKING:  # import-light: the scheduler itself imports repro.obs
-    from ..engine.batch import BatchClassifier
+    from ..api.session import LocalDriver
+    from ..workers.scheduler import ClassificationScheduler
 
 
-def _scheduler_outcomes(classifier: BatchClassifier) -> List[Dict[str, Any]]:
-    stats = classifier.scheduler.stats
+def _scheduler_outcomes(scheduler: ClassificationScheduler) -> List[Dict[str, Any]]:
+    stats = scheduler.stats
     return [
         {"labels": {"outcome": "completed"}, "value": stats.completed},
         {"labels": {"outcome": "failed"}, "value": stats.failed},
@@ -63,8 +63,8 @@ def _scheduler_outcomes(classifier: BatchClassifier) -> List[Dict[str, Any]]:
     ]
 
 
-def _scheduler_submissions(classifier: BatchClassifier) -> List[Dict[str, Any]]:
-    stats = classifier.scheduler.stats
+def _scheduler_submissions(scheduler: ClassificationScheduler) -> List[Dict[str, Any]]:
+    stats = scheduler.stats
     return [
         {"labels": {"kind": "scheduled"}, "value": stats.flights},
         {"labels": {"kind": "shared"}, "value": stats.deduped},
@@ -72,8 +72,8 @@ def _scheduler_submissions(classifier: BatchClassifier) -> List[Dict[str, Any]]:
     ]
 
 
-def _search_histogram(classifier: BatchClassifier) -> List[Dict[str, Any]]:
-    export = classifier.scheduler.search_times.export()
+def _search_histogram(scheduler: ClassificationScheduler) -> List[Dict[str, Any]]:
+    export = scheduler.search_times.export()
     return [
         {
             "labels": {},
@@ -99,32 +99,27 @@ def _trace_outcomes(tracer: Tracer) -> List[Dict[str, Any]]:
     return samples
 
 
-def build_registry(
-    classifier: BatchClassifier,
-    tracer: Tracer,
-    requests_served: Callable[[], int],
-    started_at: float,
-) -> MetricsRegistry:
-    """One registry over a classifier + tracer + front-door counters.
+def build_registry(driver: LocalDriver) -> MetricsRegistry:
+    """One registry over a local driver's engine, tracer and counters.
 
-    ``requests_served`` is a callable (the counter lives on the session
-    driver or the service); ``started_at`` is the front door's
-    ``time.monotonic()`` birth timestamp.  Every collector reads live state
-    at snapshot time — nothing is pushed on the request path.
+    ``driver.started_at`` is the front door's ``time.monotonic()`` birth
+    timestamp.  Every collector reads live state at snapshot time — nothing
+    is pushed on the request path.
     """
     registry = MetricsRegistry()
-    scheduler = classifier.scheduler
-    cache = classifier.cache
+    scheduler = driver.scheduler
+    cache = driver.cache
+    tracer = driver.tracer
 
     registry.counter(
         "repro_service_requests_total",
         "Requests served by this session or service front door.",
-        requests_served,
+        lambda: driver.requests_served,
     )
     registry.gauge(
         "repro_service_uptime_seconds",
         "Seconds since this session or service opened.",
-        lambda: time.monotonic() - started_at,
+        lambda: time.monotonic() - driver.started_at,
     )
     registry.counter(
         "repro_cache_hits_total",
@@ -180,25 +175,25 @@ def build_registry(
     registry.counter(
         "repro_batch_submitted_total",
         "Problems submitted to the batch engine.",
-        lambda: classifier.stats.submitted,
+        lambda: driver.batch_stats.submitted,
     )
     registry.counter(
         "repro_batch_full_searches_total",
         "Full decision procedures actually run (the non-amortized work).",
-        lambda: classifier.stats.full_searches,
+        lambda: driver.batch_stats.full_searches,
     )
     registry.register(
         "repro_scheduler_flights_total",
         COUNTER,
         "Scheduler flights that reached each terminal outcome.",
-        lambda: _scheduler_outcomes(classifier),
+        lambda: _scheduler_outcomes(scheduler),
     )
     registry.register(
         "repro_scheduler_submissions_total",
         COUNTER,
         "Scheduler submissions by how they were answered "
         "(scheduled / shared / hit).",
-        lambda: _scheduler_submissions(classifier),
+        lambda: _scheduler_submissions(scheduler),
     )
     registry.gauge(
         "repro_scheduler_in_flight",
@@ -224,7 +219,7 @@ def build_registry(
         "repro_search_duration_ms",
         HISTOGRAM,
         "Completed certificate-search durations in milliseconds.",
-        lambda: _search_histogram(classifier),
+        lambda: _search_histogram(scheduler),
     )
     registry.register(
         "repro_trace_finished_total",

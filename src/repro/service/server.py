@@ -1,8 +1,8 @@
 """The asyncio classification service: a wire codec over one local driver.
 
 :class:`ClassificationService` hosts one :class:`~repro.api.session.LocalDriver`
-— the engine a ``local://`` session runs: the batch classifier with its
-shared cache and scheduler, the tracer, and the metrics registry — and only
+— the engine a ``local://`` session runs: the shared cache, the
+single-flight scheduler, the tracer, and the metrics registry — and only
 translates the JSON-lines frames of :mod:`repro.service.protocol` into calls
 on it.  Problems are resolved by :func:`~repro.api.session.resolve_problem`,
 censuses generated by :func:`~repro.api.session.census_problems`, priorities
@@ -377,7 +377,7 @@ class ClassificationService:
         ]
         outcomes = await self._stream_items(request, problems, send, priority, deadline)
         summary = summarize_outcomes(outcomes)
-        summary["stats"] = self.driver.classifier.stats_report()
+        summary["stats"] = self.driver.stats()
         await send(done_frame(request.id, summary))
 
     async def _handle_census(self, request: Request, send: _SendFrame) -> None:
@@ -389,7 +389,7 @@ class ClassificationService:
         summary = summarize_outcomes(outcomes)
         summary["counts"] = tally_outcomes(outcomes)
         summary["params"] = echo_params
-        summary["stats"] = self.driver.classifier.stats_report()
+        summary["stats"] = self.driver.stats()
         await send(done_frame(request.id, summary))
 
     async def _handle_warm(self, request: Request, send: _SendFrame) -> None:

@@ -24,11 +24,11 @@ however many callers ask for it:
   stored in the shared :class:`~repro.engine.cache.ClassificationCache`.
   Its :meth:`warm` method pre-schedules a workload's canonical keys — the
   engine behind the service's ``warm`` operation and ``python -m repro
-  client warm``.
+  warm``.
 
-Both :class:`~repro.engine.batch.BatchClassifier` and the classification
-service route all search execution through this package; neither holds a
-process-wide work lock anymore.
+Every classification — a local session's and the service's alike, through
+:class:`~repro.api.session.LocalDriver` — routes its search execution
+through this package; nothing holds a process-wide work lock.
 """
 
 from ..core.cancellation import (

@@ -7,7 +7,7 @@ trade-off space of the exponential certificate searches:
 * :class:`InlineBackend` — runs the task synchronously in the caller's
   thread and returns an already-resolved future.  Zero overhead, zero
   concurrency: the behavior of the pre-workers engine, and the default of
-  :class:`~repro.engine.batch.BatchClassifier`.
+  ``local://`` sessions (``local://inline``).
 * :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
   The searches are pure-Python and hold the GIL, so threads buy *concurrency*
   (many requests in flight, streaming stays live, single-flight dedup gets a
@@ -294,8 +294,8 @@ def _killable_child(
 class ProcessBackend(WorkerBackend):
     """A process pool: true CPU parallelism for the certificate searches.
 
-    The pool is created lazily on first submit, so merely constructing a
-    classifier with ``--worker-backend processes`` costs nothing until a cold
+    The pool is created lazily on first submit, so merely opening a session
+    with ``--worker-backend processes`` costs nothing until a cold
     representative actually needs a search.  If the pool cannot be created or
     breaks (sandboxed environments), tasks fall back to inline execution and
     :attr:`degraded` is set — the job still completes, just without

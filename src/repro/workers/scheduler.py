@@ -794,7 +794,10 @@ class ClassificationScheduler:
         also waiting on keeps running for them, and the summary reports
         ``within_budget``/``interrupted`` so operators see exactly how far
         the budget got.  A budget implies waiting (the sweep must be observed
-        to know when to stop it).
+        to know when to stop it).  A synchronous backend runs each search
+        inside :meth:`submit`, so there every search gets at most the budget
+        left as its deadline, and keys reached after the budget is spent are
+        not submitted at all (they count as ``interrupted``).
         """
         unique: Dict[str, CanonicalForm] = {}
         for form in forms:
@@ -802,10 +805,17 @@ class ClassificationScheduler:
         budget_ends = (
             time.monotonic() + budget if budget is not None else None
         )
-        jobs = [
-            self.submit(form, priority=priority, deadline=deadline)
-            for form in unique.values()
-        ]
+        bound_each = budget_ends is not None and self.backend.synchronous
+        jobs: List[ClassificationJob] = []
+        for form in unique.values():
+            job_deadline = deadline
+            if bound_each:
+                left = budget_ends - time.monotonic()
+                if left <= 0:
+                    break
+                job_deadline = left if deadline is None else min(deadline, left)
+            jobs.append(self.submit(form, priority=priority, deadline=job_deadline))
+        cut_off = len(unique) - len(jobs)
         summary = {
             "unique_keys": len(unique),
             "already_cached": sum(1 for job in jobs if job.kind == JOB_CACHE_HIT),
@@ -818,9 +828,9 @@ class ClassificationScheduler:
         if not summary["waited"]:
             return summary
         failed = 0
-        interrupted = 0
+        interrupted = cut_off
         completed = 0
-        budget_exhausted = False
+        budget_exhausted = bound_each and time.monotonic() >= budget_ends
         for job in jobs:
             remaining: Optional[float] = None
             if budget_ends is not None:
@@ -937,9 +947,14 @@ class ClassificationScheduler:
         return payload
 
     def close(self) -> None:
-        """Stop the deadline monitor and shut the backend down."""
-        self._monitor.close()
+        """Shut the backend down, then stop the deadline monitor.
+
+        The backend drains its running searches first, and the monitor keeps
+        expiring their waiters meanwhile: a search with a deadline stops at
+        that deadline instead of holding ``close()`` until it finishes.
+        """
         self.backend.close()
+        self._monitor.close()
 
     def __enter__(self) -> "ClassificationScheduler":
         return self

@@ -25,7 +25,7 @@ from repro.api import (
     connect,
     parse_endpoint,
 )
-from repro.engine import BatchClassifier
+from repro.engine import batch
 from repro.problems import hard_problem
 from repro.service.server import ThreadedService
 from repro.workers import ClassificationScheduler, SearchTimeStats, create_backend
@@ -103,8 +103,8 @@ class TestEndpointParsing:
 # ----------------------------------------------------------------------
 class TestOutcomeShape:
     def test_payload_round_trip(self):
-        with BatchClassifier() as classifier:
-            item = classifier.classify_item(seeded_problems(1, labels=2)[0])
+        with ClassificationScheduler() as scheduler:
+            item = batch.submit(scheduler, seeded_problems(1, labels=2)[0]).result()
         outcome = Outcome.from_batch_item(item)
         rebuilt = Outcome.from_payload(outcome.as_dict())
         assert rebuilt.as_dict() == outcome.as_dict()
@@ -431,6 +431,20 @@ class TestWarmBudget:
         assert summary["budget_exhausted"] is True
         assert summary["interrupted"] >= 1
         assert summary["within_budget"] >= 1  # the easy keys made it
+        assert (
+            summary["within_budget"] + summary["interrupted"] + summary["failed"]
+            == summary["unique_keys"]
+        )
+
+    def test_budget_bounds_a_synchronous_backend(self):
+        """On ``local://inline`` each search runs inside the submission, so
+        the budget must bound the searches themselves, not just the wait."""
+        census = {"labels": 4, "delta": 3, "count": 60}
+        with connect("local://inline") as session:
+            summary = session.warm(census=census, budget=0.05)
+        assert summary["budget_exhausted"] is True
+        assert summary["interrupted"] >= 1
+        assert summary["within_budget"] < summary["unique_keys"]
         assert (
             summary["within_budget"] + summary["interrupted"] + summary["failed"]
             == summary["unique_keys"]

@@ -21,7 +21,8 @@ import pytest
 
 from canonical_oracle import reference_form, signature_groups
 from problem_pools import seeded_problems
-from repro.api import connect
+from repro.api import SessionConfig, connect
+from repro.api.session import LocalDriver
 from repro.core.cancellation import (
     CancelToken,
     SearchCancelled,
@@ -29,7 +30,7 @@ from repro.core.cancellation import (
     cancel_scope,
 )
 from repro.core.problem import LCLProblem
-from repro.engine import BatchClassifier, canonical_form, problem_to_dict
+from repro.engine import canonical_form, problem_to_dict
 from repro.obs.trace import ROOT_SPAN
 from repro.problems import catalog, coloring, hard_problem, pi_k
 from repro.problems.random_problems import random_problem
@@ -217,46 +218,52 @@ class TestCancellation:
 
     def test_expired_deadline_skips_cache_and_scheduler(self):
         problem = coloring(4)
-        with BatchClassifier() as classifier:
-            assert classifier.classify_item(problem).ok  # now cached
-            hits, misses = classifier.cache.stats.hits, classifier.cache.stats.misses
-            flights = classifier.scheduler.stats.flights
+        with connect("local://inline") as session:
+            assert session.classify(problem).ok  # now cached
+            before = session.stats()
             renamed = renamings(problem, 1, seed=1)[0]
-            item = classifier.classify_item(renamed, deadline=1e-9)
-            assert item.outcome == "timeout"
-            assert item.canonical_key is None and item.result is None
-            assert not item.from_cache
-            stats = classifier.cache.stats
-            assert (stats.hits, stats.misses) == (hits, misses)
-            assert classifier.scheduler.stats.flights == flights
-            assert classifier.stats.submitted == 2
-            assert classifier.stats.full_searches == 1
+            outcome = session.classify(renamed, deadline=1e-9)
+            assert outcome.outcome == "timeout"
+            assert outcome.canonical_key is None and outcome.result is None
+            assert not outcome.from_cache
+            after = session.stats()
+        assert (after["cache"]["hits"], after["cache"]["misses"]) == (
+            before["cache"]["hits"],
+            before["cache"]["misses"],
+        )
+        assert after["workers"]["flights"] == before["workers"]["flights"]
+        assert after["batch"]["submitted"] == 2
+        assert after["batch"]["full_searches"] == 1
 
     def test_scheduler_gets_only_the_unspent_budget(self, monkeypatch):
         budgets = []
-        with BatchClassifier() as classifier:
-            submit = classifier.scheduler.submit
+        driver = LocalDriver(SessionConfig())
+        try:
+            submit = driver.scheduler.submit
 
             def recording_submit(form, **kwargs):
                 budgets.append(kwargs["deadline"])
                 return submit(form, **kwargs)
 
-            monkeypatch.setattr(classifier.scheduler, "submit", recording_submit)
-            classifier.classify_item(coloring(5), deadline=30.0)
-            classifier.classify_many([coloring(4)], deadline=30.0)
+            monkeypatch.setattr(driver.scheduler, "submit", recording_submit)
+            driver.classify(coloring(5), "interactive", 30.0)
+            list(driver.iter_outcomes([coloring(4)], "batch", 30.0))
+        finally:
+            driver.close()
         assert len(budgets) == 2
         assert all(0.0 < budget < 30.0 for budget in budgets)
 
     def test_classify_many_times_out_during_canonicalization(self):
         problems = renamings(coloring(5), 3, seed=2)
-        with BatchClassifier() as classifier:
-            items = classifier.classify_many(problems, deadline=1e-9)
-            assert [item.outcome for item in items] == ["timeout"] * 3
-            assert all(item.canonical_key is None for item in items)
-            assert [item.problem for item in items] == problems
-            assert classifier.stats.submitted == 3
-            assert classifier.stats.full_searches == 0
-            assert classifier.scheduler.stats.flights == 0
+        with connect("local://inline") as session:
+            outcomes = list(session.classify_many(problems, deadline=1e-9))
+            stats = session.stats()
+        assert [outcome.outcome for outcome in outcomes] == ["timeout"] * 3
+        assert all(outcome.canonical_key is None for outcome in outcomes)
+        assert [outcome.problem for outcome in outcomes] == problems
+        assert stats["batch"]["submitted"] == 3
+        assert stats["batch"]["full_searches"] == 0
+        assert stats["workers"]["flights"] == 0
 
 
 def _assert_closed_trace(document, outcome):

@@ -1,13 +1,17 @@
-"""Tests for the batch classification engine (canonical forms, cache, batching)."""
+"""Tests for the batch classification engine (canonical forms, cache, batching).
+
+Batching is exercised through ``local://`` sessions, whose driver submits
+every problem through :func:`repro.engine.batch.submit`.
+"""
 
 import json
 import random
 
 import pytest
 
+from repro.api import connect
 from repro.core import ComplexityClass, classify, classify_with_certificates
 from repro.engine import (
-    BatchClassifier,
     ClassificationCache,
     canonical_form,
     canonical_key,
@@ -279,27 +283,27 @@ class TestCacheEviction:
     def test_bounded_cache_still_answers_whole_batch(self):
         """A budget smaller than the batch's distinct orbits loses no answers."""
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(40)]
-        bounded = BatchClassifier(cache=ClassificationCache(max_entries=2))
-        items = bounded.classify_many(problems)
-        assert len(bounded.cache) <= 2
-        assert [item.result.complexity for item in items] == [
+        with connect("local://inline?cache_max_entries=2") as bounded:
+            outcomes = list(bounded.classify_many(problems))
+            assert bounded.stats()["cache"]["entries"] <= 2
+        assert [outcome.result.complexity for outcome in outcomes] == [
             classify(problem).complexity for problem in problems
         ]
 
 
 # ----------------------------------------------------------------------
-# BatchClassifier
+# Batching through a local session
 # ----------------------------------------------------------------------
 class TestBatchClassifier:
     def test_cache_hit_equals_fresh_classification(self):
         """A hit on the identical problem reproduces the fresh result exactly."""
         for name, (problem, _expected) in catalog().items():
-            # One classifier per entry: some catalog entries are isomorphic to
+            # One session per entry: some catalog entries are isomorphic to
             # each other (pi-1 is a renaming of 2-coloring) and would otherwise
             # already be cached.
-            classifier = BatchClassifier()
-            fresh = classifier.classify_item(problem)
-            hit = classifier.classify_item(problem)
+            with connect("local://inline") as session:
+                fresh = session.classify(problem)
+                hit = session.classify(problem)
             assert not fresh.from_cache
             assert hit.from_cache
             assert hit.result == fresh.result, name
@@ -307,39 +311,40 @@ class TestBatchClassifier:
 
     def test_isomorphic_hit_is_valid(self):
         """A hit on an isomorphic problem yields a correct, well-formed result."""
-        classifier = BatchClassifier()
         rng = random.Random(3)
-        for name, (problem, expected) in catalog().items():
-            classifier.classify_item(problem)
-            relabeled = problem.relabel(_random_relabeling(problem, rng))
-            item = classifier.classify_item(relabeled)
-            assert item.from_cache, name
-            assert item.result.complexity == expected, name
-            for labels in (
-                item.result.log_certificate_labels,
-                item.result.logstar_certificate_labels,
-                item.result.constant_certificate_labels,
-            ):
-                if labels is not None:
-                    assert labels <= relabeled.labels, name
+        with connect("local://inline") as session:
+            for name, (problem, expected) in catalog().items():
+                session.classify(problem)
+                relabeled = problem.relabel(_random_relabeling(problem, rng))
+                outcome = session.classify(relabeled)
+                assert outcome.from_cache, name
+                assert outcome.result.complexity == expected, name
+                for labels in (
+                    outcome.result.log_certificate_labels,
+                    outcome.result.logstar_certificate_labels,
+                    outcome.result.constant_certificate_labels,
+                ):
+                    if labels is not None:
+                        assert labels <= relabeled.labels, name
 
     def test_batch_matches_naive_classification(self):
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(80)]
-        classifier = BatchClassifier()
-        items = classifier.classify_many(problems)
-        assert [item.result.complexity for item in items] == [
+        with connect("local://inline") as session:
+            outcomes = list(session.classify_many(problems))
+        assert [outcome.result.complexity for outcome in outcomes] == [
             classify(problem).complexity for problem in problems
         ]
 
     def test_duplicate_heavy_census_amortization(self):
         """Acceptance: >=5x fewer full searches on a 200-draw census."""
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(200)]
-        classifier = BatchClassifier()
-        classifier.classify_many(problems)
-        stats = classifier.stats
-        assert stats.submitted == 200
-        assert stats.full_searches * 5 <= stats.submitted, stats.as_dict()
-        assert classifier.cache_stats.hit_rate >= 0.8
+        with connect("local://inline") as session:
+            list(session.classify_many(problems))
+            stats = session.stats()
+        batch = stats["batch"]
+        assert batch["submitted"] == 200
+        assert batch["full_searches"] * 5 <= batch["submitted"], batch
+        assert stats["cache"]["hit_rate"] >= 0.8
 
     def test_batch_results_in_submission_order(self):
         problems = [
@@ -347,44 +352,43 @@ class TestBatchClassifier:
             catalog()["2-coloring"][0],
             catalog()["mis"][0],
         ]
-        classifier = BatchClassifier()
-        items = classifier.classify_many(problems)
-        assert items[0].result.complexity is ComplexityClass.CONSTANT
-        assert items[1].result.complexity is ComplexityClass.POLYNOMIAL
-        assert items[2].result.complexity is ComplexityClass.CONSTANT
-        assert not items[0].from_cache
-        assert items[2].from_cache
+        with connect("local://inline") as session:
+            outcomes = list(session.classify_many(problems))
+        assert outcomes[0].result.complexity is ComplexityClass.CONSTANT
+        assert outcomes[1].result.complexity is ComplexityClass.POLYNOMIAL
+        assert outcomes[2].result.complexity is ComplexityClass.CONSTANT
+        assert not outcomes[0].from_cache
+        assert outcomes[2].from_cache
 
     def test_multiprocessing_agrees_with_serial(self):
         problems = [random_problem(3, density=0.25, seed=seed) for seed in range(12)]
-        serial = BatchClassifier()
-        parallel = BatchClassifier(backend="processes", workers=2)
-        serial_items = serial.classify_many(problems)
-        parallel_items = parallel.classify_many(problems)
-        assert [item.result for item in serial_items] == [
-            item.result for item in parallel_items
+        with connect("local://inline") as serial:
+            serial_outcomes = list(serial.classify_many(problems))
+        with connect("local://processes?workers=2") as parallel:
+            parallel_outcomes = list(parallel.classify_many(problems))
+        assert [outcome.result for outcome in serial_outcomes] == [
+            outcome.result for outcome in parallel_outcomes
         ]
 
     def test_persistent_cache_spans_classifier_instances(self, tmp_path):
         path = tmp_path / "results.json"
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(30)]
 
-        first = BatchClassifier(cache=ClassificationCache(path=str(path)))
-        first_items = first.classify_many(problems)
-        first.cache.save()
-        assert first.stats.full_searches > 0
+        with connect("local://inline", cache_path=str(path)) as first:
+            first_outcomes = list(first.classify_many(problems))
+            assert first.stats()["batch"]["full_searches"] > 0
 
-        second = BatchClassifier(cache=ClassificationCache(path=str(path)))
-        second_items = second.classify_many(problems)
-        assert second.stats.full_searches == 0
-        assert [item.result.complexity for item in first_items] == [
-            item.result.complexity for item in second_items
+        with connect("local://inline", cache_path=str(path)) as second:
+            second_outcomes = list(second.classify_many(problems))
+            assert second.stats()["batch"]["full_searches"] == 0
+        assert [outcome.result.complexity for outcome in first_outcomes] == [
+            outcome.result.complexity for outcome in second_outcomes
         ]
 
     def test_stats_report_shape(self):
-        classifier = BatchClassifier()
-        classifier.classify(catalog()["mis"][0])
-        report = classifier.stats_report()
+        with connect("local://inline") as session:
+            session.classify(catalog()["mis"][0])
+            report = session.stats()
         assert report["batch"]["submitted"] == 1
         assert report["batch"]["full_searches"] == 1
         assert report["cache"]["misses"] == 1

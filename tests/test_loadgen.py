@@ -490,17 +490,21 @@ class TestSlotLeakRegression:
         spec = _quick_spec(seed=9, arrival="burst", rate=40, duration=0.5)
         plan = spec.plan()
         with connect("local://threads?workers=2") as session:
-            scheduler = session._driver.classifier.scheduler
-            # A slow poison pill holds a worker slot while the burst queues
-            # behind it, then gets cancelled mid-flight.
-            blocker = session.submit(hard_problem(12), deadline=30)
+            scheduler = session._driver.scheduler
+            # Two slow poison pills with different keys hold both worker
+            # slots, so the whole burst queues behind them; then they get
+            # cancelled mid-flight.
+            blockers = [
+                session.submit(hard_problem(pairs), deadline=30) for pairs in (12, 11)
+            ]
             pendings = [
                 session.submit(request.problem, priority=request.priority)
                 for request in plan
             ]
             cancelled = [pending.cancel() for pending in pendings[::3]]
             assert any(cancelled)  # some victims really were live
-            blocker.cancel()
+            for blocker in blockers:
+                blocker.cancel()
             for pending in pendings:
                 try:
                     pending.result(timeout=30)

@@ -12,7 +12,7 @@ import pytest
 from repro.api import connect
 from repro.api.config import parse_endpoint
 from repro.api.errors import EndpointError, UnsupportedOperationError
-from repro.engine.batch import BatchClassifier
+from repro.engine import batch
 from repro.obs import (
     MetricsRegistry,
     metric_names_and_types,
@@ -27,6 +27,7 @@ from repro.obs.trace import (
 )
 from repro.problems import hard_problem
 from repro.service import ServiceClient, ThreadedService
+from repro.workers import ClassificationScheduler, InlineBackend, ThreadBackend
 from repro.workers.metrics import SearchTimeStats
 
 EASY = "1 : 2 2\n2 : 1 1"
@@ -428,9 +429,8 @@ class TestRemoteObservability:
 # ----------------------------------------------------------------------
 class TestAtomicStats:
     def test_conservation_holds_in_every_concurrent_snapshot(self):
-        classifier = BatchClassifier(backend="threads", workers=4)
+        scheduler = ClassificationScheduler(backend=ThreadBackend(workers=4))
         try:
-            scheduler = classifier.scheduler
             violations = []
             stop = threading.Event()
 
@@ -463,7 +463,7 @@ class TestAtomicStats:
             from repro.problems.random_problems import random_problem
 
             pendings = [
-                classifier.submit_item(random_problem(2, seed=seed))
+                batch.submit(scheduler, random_problem(2, seed=seed))
                 for seed in range(30)
             ]
             for pending in pendings:
@@ -473,15 +473,12 @@ class TestAtomicStats:
                 thread.join()
             assert not violations, f"torn snapshots observed: {violations[:3]}"
         finally:
-            classifier.close()
+            scheduler.close()
 
     def test_gauges_come_from_one_lock_acquisition(self):
-        classifier = BatchClassifier(backend="inline")
-        try:
-            gauges = classifier.scheduler.gauges()
+        with ClassificationScheduler(backend=InlineBackend()) as scheduler:
+            gauges = scheduler.gauges()
             assert set(gauges) >= {"in_flight", "queued", "slots_in_use"}
-        finally:
-            classifier.close()
 
 
 # ----------------------------------------------------------------------

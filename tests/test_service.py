@@ -185,6 +185,17 @@ class TestServiceOverTcp:
         assert workers["scheduled"] == 1
         assert workers["in_flight"] == 0
 
+    def test_done_frame_stats_match_the_stats_op(self):
+        """A batch's ``done`` stats have the sections of a ``stats`` request."""
+        _problems, specs = _batch_specs(count=4)
+        with ThreadedService() as address:
+            with ServiceClient.connect_tcp(*address) as client:
+                request_id = client._send_request("classify_batch", {"problems": specs})
+                done = list(client.frames(request_id))[-1]["data"]["stats"]
+                stats = client.stats()
+        assert set(done) == set(stats)
+        assert set(done["cache"]) == set(stats["cache"])
+
     def test_error_frames_for_bad_requests(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:

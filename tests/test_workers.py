@@ -1,13 +1,20 @@
 """Tests for the parallel execution subsystem: backends + single-flight
 scheduler, priority ordering, deadlines, cancellation, and slot accounting."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
+from repro.api import connect
+from repro.api.outcome import summarize_outcomes
 from repro.core import SearchCancelled, SearchTimeout, checkpoint, classify
-from repro.engine import BatchClassifier, ClassificationCache, canonical_form
+from repro.engine import ClassificationCache, canonical_form
 from repro.problems import catalog
 from repro.problems.pools import distinct_forms
 from repro.problems.random_problems import random_problem
@@ -384,12 +391,12 @@ class TestPriorityScheduling:
         assert scheduler.stats.deduped == 1
 
     def test_classifier_passes_priority_and_deadline_through(self):
-        with BatchClassifier(backend="threads", workers=2) as classifier:
-            item = classifier.classify_item(
+        with connect("local://threads?workers=2") as session:
+            outcome = session.classify(
                 catalog()["mis"][0], priority="interactive", deadline=30.0
             )
-        assert item.ok
-        assert item.result is not None
+        assert outcome.ok
+        assert outcome.result is not None
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +421,47 @@ def _cooperative_slow_task(payload):
     return payload[0], {"complexity": "CONSTANT"}
 
 
+# Submits a minutes-long search with a 1 s deadline, then closes the session
+# at once: close() drains the backend, and must still time the search out.
+_CLOSE_DURING_SEARCH = """
+import json, time
+from repro.api import connect
+from repro.problems import hard_problem
+
+session = connect("local://threads?workers=2")
+pending = session.submit(hard_problem(12), deadline=1.0)
+start = time.monotonic()
+session.close()
+closed_after = time.monotonic() - start
+print(json.dumps({"closed_after": closed_after, "outcome": pending.result(5).outcome}))
+"""
+
+
 class TestDeadlinesAndCancellation:
+    def test_close_keeps_enforcing_deadlines_while_it_drains(self):
+        """close() times out a deadlined search instead of waiting it out.
+
+        Run in a child process, so that a close() which waits the search out
+        (for minutes) fails at the timeout instead of hanging the suite.
+        """
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", _CLOSE_DURING_SEARCH],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=20,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("close() outlived the search's 1 s deadline by 20 s")
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["outcome"] == "timeout"
+        assert report["closed_after"] < 10.0, report
+
     def test_deadline_times_out_a_hung_search_and_frees_the_slot(self):
         """A never-checkpointing search times out; new work still dispatches."""
         block = threading.Event()
@@ -627,15 +674,15 @@ class TestDeadlinesAndCancellation:
         from repro.problems import hard_problem
 
         hard = hard_problem(12)
-        with BatchClassifier(backend="threads", workers=2) as classifier:
-            items = classifier.classify_many([hard, hard], deadline=0.2)
-            hits_after_timeout = classifier.cache_stats.hits
+        with connect("local://threads?workers=2") as session:
+            outcomes = list(session.classify_many([hard, hard], deadline=0.2))
+            timed_out = summarize_outcomes(outcomes)
             # Positive control: duplicates of a *completed* orbit are hits.
             easy = catalog()["mis"][0]
-            classifier.classify_many([easy, easy])
-        assert [item.outcome for item in items] == ["timeout", "timeout"]
-        assert hits_after_timeout == 0
-        assert classifier.cache_stats.hits == 1  # the easy duplicate only
+            control = summarize_outcomes(list(session.classify_many([easy, easy])))
+        assert [outcome.outcome for outcome in outcomes] == ["timeout", "timeout"]
+        assert timed_out["cache_hits"] == 0
+        assert control["cache_hits"] == 1  # the easy duplicate only
 
     def test_process_backend_hard_kills_a_deadlined_search(self):
         """The process backend terminates a search that never checkpoints."""
@@ -755,54 +802,44 @@ def _stubborn_sleeper(payload):
 
 
 # ----------------------------------------------------------------------
-# BatchClassifier on top of the scheduler
+# Local sessions on top of the scheduler
 # ----------------------------------------------------------------------
 class TestClassifierBackends:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_every_backend_agrees_with_direct_classification(self, backend):
         problems = [random_problem(3, density=0.25, seed=seed) for seed in range(10)]
-        with BatchClassifier(backend=backend, workers=2) as classifier:
-            items = classifier.classify_many(problems)
-        assert [item.result.complexity for item in items] == [
+        with connect(f"local://{backend}?workers=2") as session:
+            outcomes = list(session.classify_many(problems))
+        assert [outcome.result.complexity for outcome in outcomes] == [
             classify(problem).complexity for problem in problems
         ]
 
     def test_processes_backend_builds_a_process_pool(self):
-        with BatchClassifier(backend="processes", workers=2) as classifier:
-            assert classifier.scheduler.backend.name == "processes"
-            assert classifier.scheduler.backend.workers == 2
-        with BatchClassifier(backend="inline", workers=1) as serial:
-            assert serial.scheduler.backend.name == "inline"
+        with connect("local://processes?workers=2") as session:
+            workers = session.stats()["workers"]
+            assert workers["backend"] == "processes"
+            assert workers["workers"] == 2
+        with connect("local://inline?workers=1") as serial:
+            assert serial.stats()["workers"]["backend"] == "inline"
 
     def test_submit_item_resolves_to_the_same_result(self):
         problem, expected = catalog()["mis"]
-        with BatchClassifier(backend="threads", workers=2) as classifier:
-            pending = classifier.submit_item(problem)
-            item = pending.result(timeout=60)
-        assert item.result.complexity == expected
-        assert not item.from_cache
+        with connect("local://threads?workers=2") as session:
+            pending = session.submit(problem)
+            outcome = pending.result(timeout=60)
+        assert outcome.result.complexity == expected
+        assert not outcome.from_cache
         assert pending.done
 
-    def test_classifiers_sharing_a_scheduler_share_its_cache(self):
-        scheduler = ClassificationScheduler()
-        problem = catalog()["mis"][0]
-        first = BatchClassifier(scheduler=scheduler)
-        second = BatchClassifier(scheduler=scheduler)
-        assert not first.classify_item(problem).from_cache
-        hit = second.classify_item(problem)
-        assert hit.from_cache
-        assert second.stats.full_searches == 0
-        assert first.cache is second.cache
-
     def test_concurrent_classify_item_calls_single_flight(self):
-        """Threads hammering one classifier trigger one search per orbit."""
+        """Threads hammering one session trigger one search per orbit."""
         problems = [random_problem(2, density=0.5, seed=seed) for seed in range(12)]
         unique_keys = {canonical_form(problem).key for problem in problems}
-        with BatchClassifier(backend="threads", workers=4) as classifier:
+        with connect("local://threads?workers=4") as session:
             results = [None] * 4
             def hammer(slot):
                 results[slot] = [
-                    classifier.classify_item(problem).result.complexity
+                    session.classify(problem).result.complexity
                     for problem in problems
                 ]
             threads = [
@@ -813,45 +850,17 @@ class TestClassifierBackends:
             for thread in threads:
                 thread.join(timeout=120)
             assert all(not thread.is_alive() for thread in threads)
-            stats = classifier.scheduler.stats
+            stats = session.stats()["workers"]
         assert all(result == results[0] for result in results)
         assert results[0] == [classify(problem).complexity for problem in problems]
         # Single flight: one search per distinct canonical key, ever.
-        assert stats.scheduled == len(unique_keys)
-        assert stats.submitted == 4 * len(problems)
-
-    def test_closing_a_classifier_spares_a_shared_scheduler(self):
-        """Context-exit of one sharer must not kill the common worker pool."""
-        backend = ThreadBackend(workers=1)
-        scheduler = ClassificationScheduler(backend=backend)
-        try:
-            with BatchClassifier(scheduler=scheduler) as first:
-                first.classify(catalog()["mis"][0])
-            # The shared backend must still accept work after `first` closed.
-            survivor = BatchClassifier(scheduler=scheduler)
-            item = survivor.classify_item(catalog()["2-coloring"][0])
-            assert item.result.complexity is not None
-        finally:
-            scheduler.close()
-
-    def test_closing_a_classifier_spares_an_injected_backend_instance(self):
-        """Same contract when sharing a bare backend instead of a scheduler."""
-        backend = ThreadBackend(workers=1)
-        try:
-            with BatchClassifier(backend=backend) as first:
-                first.classify(catalog()["mis"][0])
-            survivor = BatchClassifier(backend=backend)
-            item = survivor.classify_item(catalog()["2-coloring"][0])
-            assert item.result.complexity is not None
-            survivor.close()  # does not own the backend either
-            assert backend.submit(_square, 3).result(timeout=10) == 9
-        finally:
-            backend.close()
+        assert stats["scheduled"] == len(unique_keys)
+        assert stats["submitted"] == 4 * len(problems)
 
     def test_stats_report_includes_workers_section(self):
-        with BatchClassifier(backend="threads", workers=2) as classifier:
-            classifier.classify(catalog()["mis"][0])
-            report = classifier.stats_report()
+        with connect("local://threads?workers=2") as session:
+            session.classify(catalog()["mis"][0])
+            report = session.stats()
         assert report["workers"]["backend"] == "threads"
         assert report["workers"]["scheduled"] == 1
         assert report["batch"]["full_searches"] == 1
