@@ -37,8 +37,9 @@ Core quick start (certificates and solvers)::
     result = classify(problems.maximal_independent_set())
     print(result.complexity)        # ComplexityClass.CONSTANT
 
-The lower-level pieces (``ClassificationScheduler``, ``ServiceClient``)
-remain as the implementation layer; prefer sessions in new code.
+``ClassificationScheduler`` remains as the implementation layer and
+``repro.service.ServiceClient`` as the wire transport under remote sessions;
+prefer sessions in new code.
 """
 
 from . import automata, core, labeling, problems, trees

@@ -1,9 +1,8 @@
 """repro.api — the unified classification front door.
 
 The package grew several entry points for the same operation
-(``repro.classify``, ``ClassificationScheduler.submit``,
-``ServiceClient.classify``), each with its own kwargs, errors, and result
-shape.  This package is the single seam on top of them:
+(``repro.classify``, ``ClassificationScheduler.submit``), each with its own
+kwargs, errors, and result shape.  This package is the single seam on top of them:
 
 * :class:`ClassificationSession` — the one supported way to classify,
   constructed from a URL-style endpoint: ``local://inline``,
@@ -28,10 +27,10 @@ Quick start::
             ...
         print(session.stats()["workers"]["search_times"]["p99_ms"])
 
-The lower-level pieces (``ServiceClient``, ``ClassificationScheduler``)
-remain as the implementation layer, but new code — and everything in
-``repro.cli``, ``examples/`` and the census benchmarks — goes through
-sessions.
+``ClassificationScheduler`` remains as the implementation layer and
+``repro.service.ServiceClient`` as the wire transport under ``tcp://`` and
+``stdio:`` sessions, but new code — and everything in ``repro.cli``,
+``examples/`` and the census benchmarks — goes through sessions.
 """
 
 from . import errors

@@ -19,8 +19,9 @@ fields on every endpoint, and every failure raises the unified
 
 Two interchangeable drivers implement the surface.  :class:`LocalDriver`
 owns the worker backend, the single-flight scheduler, the cache, the tracer
-and the metrics registry; ``_RemoteDriver`` owns a
-:class:`~repro.service.client.ServiceClient` connection.  The service
+and the metrics registry; ``_RemoteDriver`` builds each call's wire params
+and sends them through a :class:`~repro.service.client.ServiceClient`
+connection, which only frames them.  The service
 on the other end of that connection hosts a :class:`LocalDriver` of its own
 and validates requests with the functions below (:func:`resolve_problem`,
 :func:`census_problems`, :func:`validate_priority`), so a remote request
@@ -460,9 +461,12 @@ class LocalDriver:
 class _RemoteDriver:
     """Session driver speaking the service protocol over TCP or stdio pipes.
 
-    One connection, used sequentially: an internal lock serializes requests,
-    so :meth:`submit`'s background thread and direct calls never interleave
-    frames.
+    The one place a session call becomes a wire request: each method builds
+    its operation's params (:meth:`_scheduled` adds ``priority`` and
+    ``deadline_ms``) and sends them through ``ServiceClient.request`` or
+    ``ServiceClient.stream``.  One connection, used sequentially: an
+    internal lock serializes requests, so :meth:`submit`'s background
+    thread and direct calls never interleave frames.
     """
 
     def __init__(self, config: SessionConfig) -> None:
@@ -505,18 +509,33 @@ class _RemoteDriver:
             )
         self._io.acquire()
 
-    def _call(self, operation: Callable[[], Any]) -> Any:
+    def _request(
+        self,
+        op: str,
+        params: Optional[Dict[str, Any]] = None,
+        request_id: Optional[Any] = None,
+    ) -> Dict[str, Any]:
+        """One request on the session's connection; its terminal data.
+
+        Error frames raise the session's :mod:`repro.api.errors` types.
+        """
         self._acquire()
         try:
-            return operation()
+            return self.client.request(op, params, request_id=request_id)
         except self._service_error as error:
             raise from_service_error(error) from error
         finally:
             self._io.release()
 
     @staticmethod
-    def _deadline_ms(deadline: Optional[float]) -> Optional[float]:
-        return deadline * 1000.0 if deadline is not None else None
+    def _scheduled(
+        params: Dict[str, Any], priority: str, deadline: Optional[float]
+    ) -> Dict[str, Any]:
+        """``params`` plus the scheduling fields every problem request carries."""
+        params["priority"] = priority
+        if deadline is not None:
+            params["deadline_ms"] = deadline * 1000.0
+        return params
 
     def classify(
         self,
@@ -529,14 +548,10 @@ class _RemoteDriver:
         # outcome can carry it — that id is what `trace`/`cancel` address.
         if request_id is None and self.config.obs:
             request_id = self.client.reserve_request_id()
-        payload = self._call(
-            lambda: self.client.classify(
-                problem_to_dict(problem),
-                priority=priority,
-                deadline_ms=self._deadline_ms(deadline),
-                request_id=request_id,
-            )
+        params = self._scheduled(
+            {"problem": problem_to_dict(problem)}, priority, deadline
         )
+        payload = self._request("classify", params, request_id)
         return Outcome.from_payload(payload, problem, request_id=request_id)
 
     def submit(
@@ -583,7 +598,7 @@ class _RemoteDriver:
         except OSError:
             return False
         try:
-            payload = client.cancel(request_id)
+            payload = client.request("cancel", {"request_id": request_id})
         except (OSError, self._service_error):
             return False
         finally:
@@ -600,9 +615,7 @@ class _RemoteDriver:
         deadline: Optional[float],
     ) -> Iterator[Outcome]:
         specs = [problem_to_dict(problem) for problem in problems]
-        params: Dict[str, Any] = {"problems": specs, "priority": priority}
-        if deadline is not None:
-            params["deadline_ms"] = self._deadline_ms(deadline)
+        params = self._scheduled({"problems": specs}, priority, deadline)
         return self._stream("classify_batch", params, problems)
 
     def iter_census(
@@ -613,9 +626,7 @@ class _RemoteDriver:
     ) -> Iterator[Outcome]:
         # Only the five census parameters travel; the server generates the
         # identical `seed + index` draws itself.
-        params: Dict[str, Any] = {**echo, "priority": priority}
-        if deadline is not None:
-            params["deadline_ms"] = self._deadline_ms(deadline)
+        params = self._scheduled(dict(echo), priority, deadline)
         return self._stream("census", params, None)
 
     def _stream(
@@ -650,35 +661,29 @@ class _RemoteDriver:
     ) -> Dict[str, Any]:
         # Explicit problems serialize; a census travels as its compact
         # parameter object — the server expands it to the identical draws.
-        return self._call(
-            lambda: self.client.warm(
-                problems=(
-                    [problem_to_dict(problem) for problem in problems]
-                    if problems
-                    else None
-                ),
-                census=dict(census) if census is not None else None,
-                wait=wait,
-                priority=priority,
-                deadline_ms=self._deadline_ms(deadline),
-                budget_ms=self._deadline_ms(budget),
-            )
-        )
+        params: Dict[str, Any] = {"wait": wait}
+        if problems:
+            params["problems"] = [problem_to_dict(problem) for problem in problems]
+        if census is not None:
+            params["census"] = dict(census)
+        if budget is not None:
+            params["budget_ms"] = budget * 1000.0
+        return self._request("warm", self._scheduled(params, priority, deadline))
 
     def stats(self) -> Dict[str, Any]:
-        return self._call(self.client.stats)
+        return self._request("stats")
 
     def metrics(self) -> Dict[str, Any]:
-        return self._call(self.client.metrics)
+        return self._request("metrics")
 
     def trace(self, request_id: Any) -> Dict[str, Any]:
-        return self._call(lambda: self.client.trace(request_id))
+        return self._request("trace", {"request_id": request_id})
 
     def cancel(self, request_id: Any) -> Dict[str, Any]:
-        return self._call(lambda: self.client.cancel(request_id))
+        return self._request("cancel", {"request_id": request_id})
 
     def shutdown(self) -> Dict[str, Any]:
-        return self._call(self.client.shutdown)
+        return self._request("shutdown")
 
     def close(self) -> None:
         self.client.close()
@@ -812,13 +817,16 @@ class ClassificationSession:
         remote endpoints overlap the searches), then outcomes stream as each
         resolves.  ``deadline`` is a per-problem budget covering
         canonicalization and search: a blown budget yields
-        ``outcome="timeout"`` items while the rest completes.
+        ``outcome="timeout"`` items while the rest completes.  No problems
+        yield no outcomes, and send nothing to a remote service.
         """
         priority, deadline = self._scheduling(priority, deadline, "batch")
         resolved = [
             resolve_problem(problem, default_name=f"<session>#{index + 1}")
             for index, problem in enumerate(problems)
         ]
+        if not resolved:
+            return iter(())
         return self._driver.iter_outcomes(resolved, priority, deadline)
 
     def census(
@@ -871,24 +879,23 @@ class ClassificationSession:
     ) -> Dict[str, Any]:
         """Pre-populate the engine's cache ahead of a batch or census.
 
-        Name the workload as a list of problems, a census parameter object,
-        or both.  ``deadline`` bounds each key's search; ``budget`` is a
-        *wall-clock* budget in seconds spread best-effort across the whole
-        sweep — when it expires, unfinished searches are cancelled and the
-        summary reports ``within_budget``/``interrupted`` so a census can be
-        warmed with "spend at most N seconds" semantics (implies waiting).
+        Name the workload as a non-empty list of problems, a census
+        parameter object, or both.  ``deadline`` bounds each key's search;
+        ``budget`` is a *wall-clock* budget in seconds spread best-effort
+        across the whole sweep — when it expires, unfinished searches are
+        cancelled and the summary reports ``within_budget``/``interrupted``
+        so a census can be warmed with "spend at most N seconds" semantics
+        (implies waiting).
         """
         priority, deadline = self._scheduling(priority, deadline, "warm")
         if budget is not None and budget < 0:
             raise RequestError("budget must be non-negative seconds")
-        if problems is None and census is None:
+        resolved = [
+            resolve_problem(problem, default_name=f"<warm>#{index + 1}")
+            for index, problem in enumerate(problems or ())
+        ]
+        if not resolved and census is None:
             raise RequestError("warm requires problems and/or census parameters")
-        resolved: List[LCLProblem] = []
-        if problems is not None:
-            resolved.extend(
-                resolve_problem(problem, default_name=f"<warm>#{index + 1}")
-                for index, problem in enumerate(problems)
-            )
         census_echo = validate_census_params(census) if census is not None else None
         return self._driver.warm(
             resolved, census_echo, wait, priority, deadline, budget

@@ -156,10 +156,6 @@ class ClassificationCache:
         Optional cache URL (``results.json``, ``json:...``, ``sqlite:...``,
         ``memory:`` — see :mod:`repro.engine.backends`).  When the durable
         store exists, its entries are loaded on construction.
-    autosave:
-        When ``True`` (and the backend is persistent) every :meth:`store`
-        immediately persists a full snapshot.  Defaults to ``False``; call
-        :meth:`save`, or configure write-behind.
     max_entries:
         Optional LRU budget.  ``None`` (the default) means unbounded.  The
         in-memory mapping never exceeds this many entries, and because
@@ -171,14 +167,13 @@ class ClassificationCache:
         Write-behind thresholds (seconds since last flush / pending dirty
         keys).  Setting either enables the background flusher on persistent
         backends; leaving both ``None`` keeps PR-1 semantics (persist only
-        on explicit :meth:`save`, autosave, or :meth:`close`).
+        on explicit :meth:`save` or :meth:`close`).
     quarantine:
         Whether construction quarantines a corrupt store and starts empty
         (the default) or propagates :class:`CacheCorruptionError`.
     """
 
     path: Optional[str] = None
-    autosave: bool = False
     max_entries: Optional[int] = None
     ttl_seconds: Optional[float] = None
     flush_interval: Optional[float] = None
@@ -189,10 +184,10 @@ class ClassificationCache:
     # Guards the LRU mapping, the stats counters, and the dirty/dead/TTL
     # bookkeeping: worker threads of the scheduler (repro.workers) store
     # results concurrently with lookups from service connection handlers
-    # and with the write-behind flusher.  Reentrant because save() calls
-    # into locked helpers (compact -> save, store -> autosave).  Held only
-    # for dictionary operations — never across disk I/O, so a save() in
-    # progress cannot stall lookups/stores.
+    # and with the write-behind flusher.  Reentrant, so code holding it may
+    # call another method that takes it.  Held only for dictionary
+    # operations — never across disk I/O, so a save() in progress cannot
+    # stall lookups/stores.
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -257,7 +252,6 @@ class ClassificationCache:
         """Whether background write-behind flushing is configured."""
         return (
             self._backend.persistent
-            and not self.autosave
             and (self.flush_interval is not None or self.flush_max_dirty is not None)
         )
 
@@ -366,8 +360,7 @@ class ClassificationCache:
 
         The entry becomes the most recently used; when the ``max_entries``
         budget is exceeded, least recently used entries are evicted.  On
-        persistent backends the key is marked dirty for the next flush (or
-        persisted immediately under ``autosave``).
+        persistent backends the key is marked dirty for the next flush.
         """
         with self._lock:
             self._entries[key] = dict(result_payload)
@@ -377,11 +370,7 @@ class ClassificationCache:
                 self._dirty.add(key)
                 self._dead.discard(key)
             self._evict_over_budget()
-        # Autosave outside the in-memory lock: save() acquires the I/O lock
-        # first, so saving from under `_lock` would invert the lock order.
-        if self.autosave and self.path:
-            self.save()
-        elif self.write_behind:
+        if self.write_behind:
             self._kick_flusher()
 
     def _evict_over_budget(self) -> int:

@@ -27,10 +27,11 @@ Layout:
   (``serve stdio:``) and TCP (``serve tcp://HOST:PORT``), plus
   :class:`ThreadedService` for embedding a live TCP service inside tests and
   benchmarks,
-* :mod:`repro.service.client` — :class:`ServiceClient`, a synchronous client
-  that connects over TCP or spawns a private stdio server subprocess: the
-  wire layer under ``tcp://`` and ``stdio:`` sessions, and so under every
-  CLI verb run on such an endpoint.
+* :mod:`repro.service.client` — :class:`ServiceClient`, the synchronous
+  wire transport that connects over TCP or spawns a private stdio server
+  subprocess, then frames requests and reads their frames: the layer under
+  ``tcp://`` and ``stdio:`` sessions (which build every request's params),
+  and so under every CLI verb run on such an endpoint.
 """
 
 from .client import ServiceClient, ServiceError

@@ -1,7 +1,8 @@
-"""Synchronous client for the classification service.
+"""Synchronous wire transport for the classification service.
 
-:class:`ServiceClient` speaks the JSON-lines protocol of
-:mod:`repro.service.protocol` over either transport:
+:class:`ServiceClient` frames requests in the JSON-lines protocol of
+:mod:`repro.service.protocol` and reads the answers back, over either
+transport:
 
 * :meth:`ServiceClient.connect_tcp` — connect to a running
   ``python -m repro serve --host ... --port ...`` (with optional connect
@@ -11,12 +12,23 @@
   which gives scripts a self-contained service whose cache file still
   persists across spawns.
 
-The high-level methods (:meth:`classify`, :meth:`classify_batch`,
-:meth:`census`, :meth:`stats`, :meth:`shutdown`) hide the framing: streamed
-``item`` frames are surfaced through an optional ``on_item`` callback as they
-arrive — this is the client edge of the server's streaming design — and the
-terminal ``done``/``result`` payload is returned.  ``error`` frames raise
-:class:`ServiceError` carrying the server's machine-readable error code.
+The transport knows the framing and nothing of what an operation means:
+
+* :meth:`~ServiceClient.send` writes one request line and returns its id;
+  :meth:`~ServiceClient.reserve_request_id` mints an id ahead of sending,
+* :meth:`~ServiceClient.frames` yields one request's frames up to its
+  terminal frame,
+* :meth:`~ServiceClient.request` returns a request's terminal ``done``/
+  ``result`` data, and :meth:`~ServiceClient.stream` yields its ``item``
+  payloads as they arrive (the generator's return value is the terminal
+  data),
+* :meth:`~ServiceClient.close` tears the connection down.
+
+``error`` frames raise :class:`ServiceError` carrying the server's
+machine-readable error code.  Remote sessions (``tcp://``, ``stdio:``) build
+each operation's params in their driver and send them through
+:meth:`~ServiceClient.request` and :meth:`~ServiceClient.stream`; protocol
+tests drive the transport directly.
 """
 
 from __future__ import annotations
@@ -27,15 +39,12 @@ import socket
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Generator, IO, Iterator, Optional
 
-from .protocol import (
-    Request,
-    decode_frame,
-    encode_frame,
-    is_terminal_frame,
-    problem_params,
-)
+from .protocol import Request, decode_frame, encode_frame, is_terminal_frame
+
+CONNECT_RETRY_DELAY = 0.25
+"""Seconds between :meth:`ServiceClient.connect_tcp` attempts."""
 
 
 class ServiceError(RuntimeError):
@@ -47,16 +56,20 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
-class ServiceClient:
-    """A synchronous JSON-lines client over a pair of text streams.
+def _terminal_data(frame: Dict[str, Any]) -> Dict[str, Any]:
+    """A terminal frame's data; an ``error`` frame raises :class:`ServiceError`."""
+    if frame.get("type") == "error":
+        error = frame.get("error", {})
+        raise ServiceError(error.get("code", "unknown"), error.get("message", ""))
+    return frame.get("data", {})
 
-    .. deprecated:: 1.2
-        Constructing a ``ServiceClient`` directly is the *legacy* remote
-        front door.  New code should open a
-        :class:`repro.api.ClassificationSession` on a ``tcp://host:port`` or
-        ``stdio:`` endpoint, which wraps this client behind the same typed
-        surface as local execution.  The raw client remains supported as the
-        session's wire layer (and for protocol-level tests).
+
+class ServiceClient:
+    """The wire transport: JSON-lines requests and frames over two text streams.
+
+    The layer under ``tcp://`` and ``stdio:`` sessions, and the handle
+    protocol tests drive the wire with.  It frames whatever ``op`` and
+    ``params`` it is given and checks none of them; the server does.
     """
 
     def __init__(
@@ -78,13 +91,7 @@ class ServiceClient:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def connect_tcp(
-        cls,
-        host: str,
-        port: int,
-        retries: int = 0,
-        retry_delay: float = 0.25,
-    ) -> "ServiceClient":
+    def connect_tcp(cls, host: str, port: int, retries: int = 0) -> "ServiceClient":
         """Connect to a TCP service, retrying ``retries`` times on refusal."""
         attempt = 0
         while True:
@@ -95,25 +102,24 @@ class ServiceClient:
                 attempt += 1
                 if attempt > retries:
                     raise
-                time.sleep(retry_delay)
+                time.sleep(CONNECT_RETRY_DELAY)
         read_stream = sock.makefile("r", encoding="utf-8", newline="\n")
         write_stream = sock.makefile("w", encoding="utf-8", newline="\n")
         return cls(read_stream, write_stream, sock=sock)
 
     @classmethod
-    def spawn_stdio(
-        cls, endpoint: str = "stdio:", *, python: str = sys.executable
-    ) -> "ServiceClient":
+    def spawn_stdio(cls, endpoint: str = "stdio:") -> "ServiceClient":
         """Spawn ``python -m repro serve ENDPOINT`` and connect to its pipes.
 
         ``endpoint`` is a ``stdio:`` URL; its query parameters configure the
         service's cache exactly as for ``repro serve``
-        (``stdio:?cache=sqlite:c.db&cache_ttl=60``).  The subprocess inherits
-        the environment with ``PYTHONPATH`` extended so the *current*
-        ``repro`` package is importable even when it has not been installed
-        (the repo's ``src`` layout).
+        (``stdio:?cache=sqlite:c.db&cache_ttl=60``).  The subprocess runs on
+        the current interpreter and inherits the environment with
+        ``PYTHONPATH`` extended so the *current* ``repro`` package is
+        importable even when it has not been installed (the repo's ``src``
+        layout).
         """
-        argv: List[str] = [python, "-m", "repro", "serve", endpoint]
+        argv = [sys.executable, "-m", "repro", "serve", endpoint]
         package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -157,12 +163,18 @@ class ServiceClient:
         """
         return next(self._ids)
 
-    def _send_request(
+    def send(
         self,
         op: str,
         params: Optional[Dict[str, Any]] = None,
         request_id: Optional[Any] = None,
     ) -> Any:
+        """Write one request line; return its wire id.
+
+        ``request_id`` pins the id (normally the next of this client's
+        counter) — pass a value from :meth:`reserve_request_id` when another
+        connection needs to address this request.
+        """
         request = Request(
             id=request_id if request_id is not None else next(self._ids),
             op=op,
@@ -186,211 +198,34 @@ class ServiceClient:
         self,
         op: str,
         params: Optional[Dict[str, Any]] = None,
-        on_item: Optional[Callable[[Dict[str, Any]], None]] = None,
         request_id: Optional[Any] = None,
     ) -> Dict[str, Any]:
-        """Send one request; stream items to ``on_item``; return the terminal data.
+        """Send one request; return its terminal ``done``/``result`` data.
 
-        ``request_id`` pins the wire id (normally auto-assigned) — pass a
-        value from :meth:`reserve_request_id` when another connection needs
-        to address this request.  Raises :class:`ServiceError` when the
-        service answers with an error frame.
+        Streamed ``item`` frames are skipped (:meth:`stream` yields them).
+        Raises :class:`ServiceError` when the service answers with an error
+        frame.
         """
-        request_id = self._send_request(op, params, request_id=request_id)
-        for frame in self.frames(request_id):
-            kind = frame.get("type")
-            if kind == "item":
-                if on_item is not None:
-                    on_item(frame["data"])
-            elif kind in ("done", "result"):
-                return frame.get("data", {})
-            elif kind == "error":
-                error = frame.get("error", {})
-                raise ServiceError(
-                    error.get("code", "unknown"), error.get("message", "")
-                )
+        for frame in self.frames(self.send(op, params, request_id)):
+            if is_terminal_frame(frame):
+                return _terminal_data(frame)
         raise ServiceError("connection-closed", "stream ended without a terminal frame")
 
     def stream(
         self, op: str, params: Optional[Dict[str, Any]] = None
-    ) -> Iterator[Dict[str, Any]]:
+    ) -> Generator[Dict[str, Any], None, Dict[str, Any]]:
         """Send one request; *yield* each streamed item payload as it arrives.
 
-        The generator edge of :meth:`request`, used by the session facade to
-        expose batches and censuses as iterators.  The terminal ``done``/
-        ``result`` data is kept on :attr:`last_summary` once the generator is
-        exhausted; ``error`` frames raise :class:`ServiceError`.  Abandoning
-        the generator mid-stream is safe — leftover frames of this request
-        are skipped by the next request's frame loop.
+        The generator's return value is the terminal ``done``/``result``
+        data; ``error`` frames raise :class:`ServiceError`.  Abandoning the
+        generator mid-stream is safe — leftover frames of this request are
+        skipped by the next request's frame loop.
         """
-        self.last_summary: Optional[Dict[str, Any]] = None
-        request_id = self._send_request(op, params)
-        for frame in self.frames(request_id):
-            kind = frame.get("type")
-            if kind == "item":
-                yield frame["data"]
-            elif kind in ("done", "result"):
-                self.last_summary = frame.get("data", {})
-                return
-            elif kind == "error":
-                error = frame.get("error", {})
-                raise ServiceError(
-                    error.get("code", "unknown"), error.get("message", "")
-                )
+        for frame in self.frames(self.send(op, params)):
+            if is_terminal_frame(frame):
+                return _terminal_data(frame)
+            yield frame["data"]
         raise ServiceError("connection-closed", "stream ended without a terminal frame")
-
-    @staticmethod
-    def _scheduling_params(
-        params: Dict[str, Any],
-        priority: Optional[str],
-        deadline_ms: Optional[float],
-    ) -> Dict[str, Any]:
-        """Attach the protocol-v3 scheduling fields when given (else v2 wire)."""
-        if priority is not None:
-            params["priority"] = priority
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return params
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-    def classify(
-        self,
-        problem: Any,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        request_id: Optional[Any] = None,
-    ) -> Dict[str, Any]:
-        """Classify one problem (text or serialized dict); return its payload.
-
-        ``priority`` (``interactive``/``batch``/``warm``; the server defaults
-        a bare classify to ``interactive``) and ``deadline_ms`` bound how the
-        search is scheduled; a blown deadline returns a payload with
-        ``outcome: "timeout"`` and ``complexity: null``.  ``request_id`` pins
-        the wire id so another connection can ``cancel``/``trace`` this call.
-        """
-        params = self._scheduling_params(
-            problem_params(problem), priority, deadline_ms
-        )
-        return self.request("classify", params, request_id=request_id)
-
-    def classify_batch(
-        self,
-        problems: Sequence[Any],
-        on_item: Optional[Callable[[Dict[str, Any]], None]] = None,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Classify a batch, streaming per-item payloads to ``on_item``.
-
-        Returns the ``done`` summary (count, cache hits/misses, ``hit_rate``,
-        ``timeouts``/``cancelled``, lifetime engine stats).  When ``on_item``
-        is omitted the collected items are attached to the summary under
-        ``"items"``.  ``deadline_ms`` is a per-problem budget covering
-        canonicalization and search.
-        """
-        collected: List[Dict[str, Any]] = []
-        callback = on_item if on_item is not None else collected.append
-        specs = [problem_params(problem)["problem"] for problem in problems]
-        params = self._scheduling_params(
-            {"problems": specs}, priority, deadline_ms
-        )
-        summary = self.request("classify_batch", params, callback)
-        if on_item is None:
-            summary["items"] = collected
-        return summary
-
-    def census(
-        self,
-        labels: int = 2,
-        delta: int = 2,
-        density: float = 0.5,
-        count: int = 100,
-        seed: int = 0,
-        on_item: Optional[Callable[[Dict[str, Any]], None]] = None,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Run a server-side random census; return the tally summary.
-
-        The server schedules a census at ``warm`` (lowest) priority unless
-        overridden, so it never starves interactive classifies.  With
-        ``deadline_ms``, keys whose search blows the budget tally under
-        ``"timeout"`` in the counts while the rest complete.
-        """
-        params = {
-            "labels": labels,
-            "delta": delta,
-            "density": density,
-            "count": count,
-            "seed": seed,
-        }
-        self._scheduling_params(params, priority, deadline_ms)
-        return self.request("census", params, on_item)
-
-    def cancel(self, request_id: Any) -> Dict[str, Any]:
-        """Cancel an in-flight request by id (necessarily from another client).
-
-        Returns ``{"request_id", "found", "cancelled"}``; ``found: false``
-        means nothing with that id was in flight (already finished, or never
-        existed) — cancellation is racy by nature, so that is not an error.
-        """
-        return self.request("cancel", {"request_id": request_id})
-
-    def warm(
-        self,
-        problems: Optional[Sequence[Any]] = None,
-        census: Optional[Dict[str, Any]] = None,
-        wait: bool = False,
-        priority: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        budget_ms: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Pre-populate the service cache ahead of a batch or census.
-
-        Ship either a list of problem specs, the census parameter object
-        (``labels``/``delta``/``density``/``count``/``seed``), or both; the
-        service schedules every distinct uncached canonical key on its worker
-        backend.  With ``wait=True`` the call returns after the searches
-        complete (the follow-up request is then answered entirely from
-        cache); otherwise the cache fills in the background.  ``budget_ms``
-        is a *wall-clock* budget spread best-effort across the whole sweep:
-        the service waits until the budget expires, cancels whatever is still
-        unfinished, and reports how many keys completed within it (implies
-        waiting; ``deadline_ms`` remains the per-key bound).
-        """
-        params: Dict[str, Any] = {"wait": wait}
-        if budget_ms is not None:
-            params["budget_ms"] = budget_ms
-        if problems is not None:
-            params["problems"] = [
-                problem_params(problem)["problem"] for problem in problems
-            ]
-        if census is not None:
-            params["census"] = dict(census)
-        self._scheduling_params(params, priority, deadline_ms)
-        return self.request("warm", params)
-
-    def stats(self) -> Dict[str, Any]:
-        """Service, cache, batch, and worker counters of the running service."""
-        return self.request("stats")
-
-    def metrics(self) -> Dict[str, Any]:
-        """The service's metrics: ``{"snapshot": repro.metrics/1, "text": ...}``."""
-        return self.request("metrics")
-
-    def trace(self, request_id: Any) -> Dict[str, Any]:
-        """Fetch a finished request's span tree by its wire id.
-
-        Returns ``{"request_id", "found", "trace"}`` — ``found: false`` when
-        the server's tracing is off or its retention ring has evicted the id.
-        """
-        return self.request("trace", {"request_id": request_id})
-
-    def shutdown(self) -> Dict[str, Any]:
-        """Ask the service to persist its cache and exit."""
-        return self.request("shutdown")
 
     # ------------------------------------------------------------------
     # Lifecycle

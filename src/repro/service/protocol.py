@@ -200,14 +200,3 @@ def is_terminal_frame(frame: Mapping[str, Any]) -> bool:
     """True when ``frame`` ends its request (``done``/``result``/``error``)."""
     return frame.get("type") in ("done", "result", "error")
 
-
-def problem_params(problem_spec: Any) -> Dict[str, Any]:
-    """Normalize a problem spec into request params (text or serialized dict).
-
-    Clients may submit a problem either as the paper-notation text (a string,
-    parsed server-side with :func:`repro.core.parser.parse_problem`) or as the
-    serialized dictionary of :func:`repro.engine.serialization.problem_to_dict`.
-    """
-    if isinstance(problem_spec, str):
-        return {"problem": problem_spec}
-    return {"problem": dict(problem_spec)}

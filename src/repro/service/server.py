@@ -211,7 +211,7 @@ class ClassificationService:
         # Persistent caches get write-behind persistence out of the box;
         # explicit cache_flush_* settings on the cache win over these.
         cache = self.driver.cache
-        if cache.persistent and not cache.autosave:
+        if cache.persistent:
             cache.enable_write_behind(
                 flush_interval=DEFAULT_CACHE_FLUSH_INTERVAL,
                 flush_max_dirty=DEFAULT_CACHE_FLUSH_MAX_DIRTY,

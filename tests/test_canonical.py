@@ -298,12 +298,13 @@ class TestExpiredDeadlineParity:
         specs.append("1 : 2 2\n2 : 1 1")
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                assert client.classify(specs[-1])["outcome"] == "ok"  # now cached
-                request_id = client._send_request(
+                payload = client.request("classify", {"problem": specs[-1]})
+                assert payload["outcome"] == "ok"  # now cached
+                request_id = client.send(
                     "classify_batch", {"problems": specs, "deadline_ms": 0.001}
                 )
                 frames = list(client.frames(request_id))
-                stats = client.stats()
+                stats = client.request("stats")
         items, summary = frames[:-1], frames[-1]["data"]
         assert [frame["data"]["outcome"] for frame in items] == ["timeout"] * 3
         assert all(frame["data"]["canonical_key"] is None for frame in items)

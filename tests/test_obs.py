@@ -184,8 +184,8 @@ class TestMetricsParity:
         monkeypatch.setenv("REPRO_TRACE", "mem")
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                client.classify(EASY)
-                remote = client.metrics()
+                client.request("classify", {"problem": EASY})
+                remote = client.request("metrics")
         with connect("local://inline") as session:
             session.classify(EASY)
             local = session.metrics()
@@ -413,13 +413,15 @@ class TestRemoteObservability:
         monkeypatch.setenv("REPRO_TRACE", "mem")
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                request_id = client._send_request(
+                request_id = client.send(
                     "classify_batch", {"problems": [EASY, "1 : 1 1"]}
                 )
                 frames = list(client.frames(request_id))
                 assert [f["type"] for f in frames] == ["item", "item", "done"]
                 for seq in range(2):
-                    payload = client.trace(f"{request_id}.{seq}")
+                    payload = client.request(
+                        "trace", {"request_id": f"{request_id}.{seq}"}
+                    )
                     assert payload["found"], f"item {seq} has no trace"
                     assert_closed_tree(payload["trace"], "ok")
 

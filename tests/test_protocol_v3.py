@@ -18,7 +18,7 @@ SOLVABLE_SPECS = ["1 : 1 1", "1 : 2 2\n2 : 1 1", "1 : 1 2"]
 
 def _wire_frames(client, op, params):
     """Send one request and return its complete frame transcript."""
-    request_id = client._send_request(op, params)
+    request_id = client.send(op, params)
     return request_id, list(client.frames(request_id))
 
 
@@ -45,9 +45,11 @@ class TestDeadlines:
         with ThreadedService(backend="threads", workers=2) as address:
             with ServiceClient.connect_tcp(*address) as client:
                 start = time.monotonic()
-                payload = client.classify(problem, deadline_ms=250)
+                payload = client.request(
+                    "classify", {"problem": problem, "deadline_ms": 250}
+                )
                 elapsed = time.monotonic() - start
-                stats = client.stats()
+                stats = client.request("stats")
         assert payload["outcome"] == "timeout"
         assert payload["complexity"] is None
         assert payload["result"] is None
@@ -86,7 +88,9 @@ class TestDeadlines:
     def test_census_with_deadline_tallies_timeouts(self):
         with ThreadedService(backend="threads", workers=2) as address:
             with ServiceClient.connect_tcp(*address) as client:
-                summary = client.census(labels=2, count=12, seed=5, deadline_ms=0.001)
+                summary = client.request(
+                    "census", {"labels": 2, "count": 12, "seed": 5, "deadline_ms": 0.001}
+                )
         counts = summary["counts"]
         assert sum(counts.values()) == 12
         # An already-expired budget times out deterministically, before any
@@ -110,20 +114,27 @@ class TestDeadlines:
                         client.request("classify", params)
                     assert excinfo.value.code == "bad-request"
                 # The connection survives and still serves.
-                assert client.classify("1 : 1 1")["complexity"] == "O(1)"
+                assert client.request("classify", {"problem": "1 : 1 1"})["complexity"] == "O(1)"
 
     def test_priorities_are_accepted_on_every_scheduling_op(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                assert client.classify("1 : 1 1", priority="interactive")["outcome"] == "ok"
-                summary = client.classify_batch(
-                    ["1 : 1 1"], priority="batch", deadline_ms=60000
+                payload = client.request(
+                    "classify", {"problem": "1 : 1 1", "priority": "interactive"}
+                )
+                assert payload["outcome"] == "ok"
+                summary = client.request(
+                    "classify_batch",
+                    {"problems": ["1 : 1 1"], "priority": "batch", "deadline_ms": 60000},
                 )
                 assert summary["timeouts"] == 0
-                census = client.census(labels=2, count=5, priority="warm")
+                census = client.request(
+                    "census", {"labels": 2, "count": 5, "priority": "warm"}
+                )
                 assert sum(census["counts"].values()) == 5
-                warm = client.warm(
-                    census={"labels": 2, "count": 5}, wait=True, priority="warm"
+                warm = client.request(
+                    "warm",
+                    {"census": {"labels": 2, "count": 5}, "wait": True, "priority": "warm"},
                 )
                 assert warm["waited"] is True
 
@@ -136,7 +147,7 @@ def _cancel_until_found(address, request_id, timeout=10.0):
     deadline = time.monotonic() + timeout
     with ServiceClient.connect_tcp(*address) as canceller:
         while time.monotonic() < deadline:
-            payload = canceller.cancel(request_id)
+            payload = canceller.request("cancel", {"request_id": request_id})
             if payload["found"]:
                 return payload
             time.sleep(0.02)
@@ -147,7 +158,7 @@ class TestCancel:
     def test_cancel_unknown_request_is_not_found(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                payload = client.cancel("no-such-request")
+                payload = client.request("cancel", {"request_id": "no-such-request"})
         assert payload == {
             "request_id": "no-such-request",
             "found": False,
@@ -168,7 +179,7 @@ class TestCancel:
         with ThreadedService(backend="threads", workers=2) as address:
             with ServiceClient.connect_tcp(*address) as client:
                 start = time.monotonic()
-                request_id = client._send_request("classify", {"problem": spec})
+                request_id = client.send("classify", {"problem": spec})
                 cancel_payload = _cancel_until_found(address, request_id)
                 frames = list(client.frames(request_id))
                 elapsed = time.monotonic() - start
@@ -187,7 +198,7 @@ class TestCancel:
         hard = problem_to_dict(hard_problem(12))
         with ThreadedService(backend="threads", workers=2) as address:
             with ServiceClient.connect_tcp(*address) as client:
-                request_id = client._send_request(
+                request_id = client.send(
                     "classify_batch", {"problems": [easy, hard]}
                 )
                 _cancel_until_found(address, request_id)
@@ -206,10 +217,10 @@ class TestCancel:
         spec = problem_to_dict(hard_problem(12))
         with ThreadedService(backend="threads", workers=2) as address:
             with ServiceClient.connect_tcp(*address) as client:
-                request_id = client._send_request("classify", {"problem": spec})
+                request_id = client.send("classify", {"problem": spec})
                 _cancel_until_found(address, request_id)
                 list(client.frames(request_id))
-                stats = client.stats()
+                stats = client.request("stats")
         workers = stats["workers"]
         assert workers["cancelled"] >= 1
         assert workers["slots_in_use"] == 0 or workers["in_flight"] >= 0
@@ -261,8 +272,8 @@ class TestV2Compatibility:
     def test_plain_classify_and_census_complete_without_deadlines(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                payload = client.classify("1 : 2 2\n2 : 1 1")
-                census = client.census(labels=2, count=10, seed=7)
+                payload = client.request("classify", {"problem": "1 : 2 2\n2 : 1 1"})
+                census = client.request("census", {"labels": 2, "count": 10, "seed": 7})
         assert payload["complexity"] == "n^Theta(1)"
         assert payload["outcome"] == "ok"
         assert sum(census["counts"].values()) == 10
@@ -271,7 +282,9 @@ class TestV2Compatibility:
     def test_warm_without_v3_fields_matches_pr3_summary(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                warm = client.warm(census={"labels": 2, "count": 8}, wait=True)
+                warm = client.request(
+                    "warm", {"census": {"labels": 2, "count": 8}, "wait": True}
+                )
         assert warm["waited"] is True
         assert warm["scheduled"] == warm["unique_keys"] > 0
         assert warm["failed"] == 0

@@ -92,12 +92,29 @@ def _batch_specs(count=24, labels=2, density=0.5):
     return problems, [problem_to_dict(problem) for problem in problems]
 
 
+def _streamed(client, op, params):
+    """One streaming request's ``done`` summary, its items under ``"items"``.
+
+    The items are collected from ``client.stream``; the summary is that
+    generator's return value.
+    """
+    items = []
+    stream = client.stream(op, params)
+    while True:
+        try:
+            items.append(next(stream))
+        except StopIteration as stop:
+            return {**stop.value, "items": items}
+
+
 class TestServiceOverTcp:
     def test_classify_round_trip(self):
         problem, expected = catalog()["mis"]
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                payload = client.classify(problem_to_dict(problem))
+                payload = client.request(
+                    "classify", {"problem": problem_to_dict(problem)}
+                )
         assert payload["complexity"] == expected.value
         assert payload["from_cache"] is False
         assert payload["result"]["complexity"] == expected.name
@@ -105,14 +122,14 @@ class TestServiceOverTcp:
     def test_text_problem_specs_are_parsed_server_side(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                payload = client.classify("1 : 2 2\n2 : 1 1")
+                payload = client.request("classify", {"problem": "1 : 2 2\n2 : 1 1"})
         assert payload["complexity"] == "n^Theta(1)"
 
     def test_batch_streams_items_in_order_before_done(self):
         problems, specs = _batch_specs(count=10)
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                request_id = client._send_request("classify_batch", {"problems": specs})
+                request_id = client.send("classify_batch", {"problems": specs})
                 frames = list(client.frames(request_id))
         kinds = [frame["type"] for frame in frames]
         assert kinds == ["item"] * 10 + ["done"]
@@ -129,9 +146,9 @@ class TestServiceOverTcp:
         cache = ClassificationCache(path="json:" + str(path))
         with ThreadedService(cache=cache) as address:
             with ServiceClient.connect_tcp(*address) as first:
-                cold = first.classify_batch(specs)
+                cold = _streamed(first, "classify_batch", {"problems": specs})
             with ServiceClient.connect_tcp(*address) as second:
-                warm = second.classify_batch(specs)
+                warm = _streamed(second, "classify_batch", {"problems": specs})
         assert cold["count"] == warm["count"] == 24
         assert cold["cache_misses"] > 0
         assert warm["hit_rate"] > 0.9
@@ -150,9 +167,9 @@ class TestServiceOverTcp:
         service = ThreadedService(cache=cache)
         with service as address:
             with ServiceClient.connect_tcp(*address) as client:
-                client.classify_batch(specs)
-                stats = client.stats()
-                client.shutdown()
+                client.request("classify_batch", {"problems": specs})
+                stats = client.request("stats")
+                client.request("shutdown")
         assert stats["cache"]["entries"] <= budget
         assert stats["cache"]["max_entries"] == budget
         assert len(cache) <= budget
@@ -161,10 +178,10 @@ class TestServiceOverTcp:
     def test_census_summary_tallies_every_item(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                streamed = []
-                summary = client.census(
-                    labels=2, count=15, seed=3, on_item=streamed.append
+                summary = _streamed(
+                    client, "census", {"labels": 2, "count": 15, "seed": 3}
                 )
+                streamed = summary["items"]
         assert summary["count"] == 15
         assert sum(summary["counts"].values()) == 15
         assert len(streamed) == 15
@@ -173,8 +190,8 @@ class TestServiceOverTcp:
     def test_stats_and_request_accounting(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                client.classify("1 : 1 1")
-                payload = client.stats()
+                client.request("classify", {"problem": "1 : 1 1"})
+                payload = client.request("stats")
         assert payload["service"]["requests_served"] == 2  # classify + stats
         assert payload["batch"]["submitted"] == 1
         assert payload["cache"]["entries"] == 1
@@ -190,9 +207,9 @@ class TestServiceOverTcp:
         _problems, specs = _batch_specs(count=4)
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                request_id = client._send_request("classify_batch", {"problems": specs})
+                request_id = client.send("classify_batch", {"problems": specs})
                 done = list(client.frames(request_id))[-1]["data"]["stats"]
-                stats = client.stats()
+                stats = client.request("stats")
         assert set(done) == set(stats)
         assert set(done["cache"]) == set(stats["cache"])
 
@@ -200,13 +217,15 @@ class TestServiceOverTcp:
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
                 with pytest.raises(ServiceError) as bad_problem:
-                    client.classify("this is : not a problem : at all :::")
+                    client.request(
+                        "classify", {"problem": "this is : not a problem : at all :::"}
+                    )
                 assert bad_problem.value.code == "bad-problem"
                 with pytest.raises(ServiceError) as bad_request:
                     client.request("classify_batch", {"problems": []})
                 assert bad_request.value.code == "bad-request"
                 # The connection survives errors and keeps serving.
-                assert client.classify("1 : 1 1")["complexity"] == "O(1)"
+                assert client.request("classify", {"problem": "1 : 1 1"})["complexity"] == "O(1)"
 
     def test_malformed_line_gets_structured_error(self):
         with ThreadedService() as address:
@@ -222,8 +241,8 @@ class TestServiceOverTcp:
         service = ThreadedService(cache=ClassificationCache(path=str(path)))
         address = service.start()
         with ServiceClient.connect_tcp(*address) as client:
-            client.classify("1 : 1 1")
-            payload = client.shutdown()
+            client.request("classify", {"problem": "1 : 1 1"})
+            payload = client.request("shutdown")
         assert payload == {"ok": True, "cache_saved": True}
         service._thread.join(timeout=30)
         assert not service._thread.is_alive()
@@ -267,7 +286,7 @@ class TestConcurrentClients:
             def hammer(slot):
                 try:
                     with ServiceClient.connect_tcp(*address) as client:
-                        request_id = client._send_request("census", self.CENSUS)
+                        request_id = client.send("census", self.CENSUS)
                         frames_by_client[slot] = list(client.frames(request_id))
                 except Exception as error:  # noqa: BLE001 - surfaced below
                     errors.append(error)
@@ -284,7 +303,7 @@ class TestConcurrentClients:
             assert not errors, errors
 
             with ServiceClient.connect_tcp(*address) as client:
-                stats = client.stats()
+                stats = client.request("stats")
 
         count = self.CENSUS["count"]
         for frames in frames_by_client:
@@ -320,7 +339,9 @@ class TestConcurrentClients:
 
             def run(slot):
                 with ServiceClient.connect_tcp(*address) as client:
-                    summaries[slot] = client.classify_batch(specs_by_slot[slot])
+                    summaries[slot] = _streamed(
+                        client, "classify_batch", {"problems": specs_by_slot[slot]}
+                    )
 
             threads = [threading.Thread(target=run, args=(slot,)) for slot in range(3)]
             for thread in threads:
@@ -347,15 +368,15 @@ class TestWarm:
     def test_warm_census_then_census_is_answered_from_cache(self):
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                warm = client.warm(census=self.CENSUS, wait=True)
+                warm = client.request("warm", {"census": self.CENSUS, "wait": True})
                 assert warm["count"] == 15
                 assert warm["waited"] is True
                 assert warm["scheduled"] == warm["unique_keys"] > 0
                 assert warm["already_cached"] == 0
-                summary = client.census(**self.CENSUS)
+                summary = client.request("census", self.CENSUS)
                 assert summary["hit_rate"] == 1.0
                 # Warming again is a no-op: everything is already cached.
-                rewarm = client.warm(census=self.CENSUS, wait=True)
+                rewarm = client.request("warm", {"census": self.CENSUS, "wait": True})
                 assert rewarm["scheduled"] == 0
                 assert rewarm["already_cached"] == rewarm["unique_keys"]
 
@@ -364,9 +385,9 @@ class TestWarm:
         specs = [problem_to_dict(problem) for problem in problems]
         with ThreadedService() as address:
             with ServiceClient.connect_tcp(*address) as client:
-                warm = client.warm(problems=specs, wait=True)
+                warm = client.request("warm", {"problems": specs, "wait": True})
                 assert warm["count"] == 8
-                summary = client.classify_batch(specs)
+                summary = _streamed(client, "classify_batch", {"problems": specs})
         assert summary["hit_rate"] == 1.0
         assert [item["complexity"] for item in summary["items"]] == [
             classify(problem).complexity.value for problem in problems
@@ -376,15 +397,15 @@ class TestWarm:
         path = tmp_path / "warm-cache.json"
         with ThreadedService(cache=ClassificationCache(path=str(path))) as address:
             with ServiceClient.connect_tcp(*address) as client:
-                warm = client.warm(census=self.CENSUS, wait=False)
+                warm = client.request("warm", {"census": self.CENSUS, "wait": False})
                 assert warm["waited"] is False
                 # Poll the live stats until the background searches drain.
                 deadline = time.monotonic() + 60
                 while time.monotonic() < deadline:
-                    if client.stats()["workers"]["in_flight"] == 0:
+                    if client.request("stats")["workers"]["in_flight"] == 0:
                         break
                     time.sleep(0.02)
-                summary = client.census(**self.CENSUS)
+                summary = client.request("census", self.CENSUS)
                 assert summary["hit_rate"] == 1.0
         # The background completion also persisted the cache file.
         assert path.exists()
@@ -395,9 +416,9 @@ class TestWarm:
         service = ThreadedService(cache=ClassificationCache(path="json:" + str(path)))
         address = service.start()
         with ServiceClient.connect_tcp(*address) as client:
-            warm = client.warm(census=self.CENSUS, wait=False)
+            warm = client.request("warm", {"census": self.CENSUS, "wait": False})
             assert warm["scheduled"] > 0
-            client.shutdown()
+            client.request("shutdown")
         service.stop()
         # Shutdown drains the worker pool and re-saves, losing no entries.
         entries = json.loads(path.read_text())["entries"]
@@ -408,9 +429,9 @@ class TestWarm:
         _problems, specs = _batch_specs(count=6)
         with ThreadedService(backend="inline") as address:
             with ServiceClient.connect_tcp(*address) as client:
-                streamed = []
-                summary = client.classify_batch(specs, on_item=streamed.append)
-                stats = client.stats()
+                summary = _streamed(client, "classify_batch", {"problems": specs})
+                streamed = summary["items"]
+                stats = client.request("stats")
         assert summary["count"] == 6
         assert len(streamed) == 6
         assert stats["workers"]["backend"] == "inline"
@@ -426,7 +447,7 @@ class TestWarm:
                 with pytest.raises(ServiceError):
                     client.request("warm", {"census": "not an object"})
                 # The connection survives and still serves.
-                assert client.classify("1 : 1 1")["complexity"] == "O(1)"
+                assert client.request("classify", {"problem": "1 : 1 1"})["complexity"] == "O(1)"
 
 
 # ----------------------------------------------------------------------
@@ -439,10 +460,12 @@ class TestServiceOverStdio:
             assert client.server_info["protocol"] == 3
             assert "warm" in client.server_info["ops"]
             assert "cancel" in client.server_info["ops"]
-            fresh = client.classify("1 : 2 2\n2 : 1 1")
-            cached = client.classify("1 : 2 2\n2 : 1 1")
-            summary = client.classify_batch(["1 : 1 1", "1 : 2 2\n2 : 1 1"])
-            assert client.shutdown()["ok"] is True
+            fresh = client.request("classify", {"problem": "1 : 2 2\n2 : 1 1"})
+            cached = client.request("classify", {"problem": "1 : 2 2\n2 : 1 1"})
+            summary = client.request(
+                "classify_batch", {"problems": ["1 : 1 1", "1 : 2 2\n2 : 1 1"]}
+            )
+            assert client.request("shutdown")["ok"] is True
         assert fresh["from_cache"] is False
         assert cached["from_cache"] is True
         assert summary["cache_hits"] == 1  # second block hits the cache
@@ -452,11 +475,11 @@ class TestServiceOverStdio:
         """Two stdio service processes share one persistent cache file."""
         path = tmp_path / "stdio-cache.json"
         with ServiceClient.spawn_stdio(f"stdio:?cache={path}") as first:
-            cold = first.classify("1 : 2 2\n2 : 1 1")
-            first.shutdown()
+            cold = first.request("classify", {"problem": "1 : 2 2\n2 : 1 1"})
+            first.request("shutdown")
         with ServiceClient.spawn_stdio(f"stdio:?cache={path}") as second:
-            warm = second.classify("1 : 2 2\n2 : 1 1")
-            second.shutdown()
+            warm = second.request("classify", {"problem": "1 : 2 2\n2 : 1 1"})
+            second.request("shutdown")
         assert cold["from_cache"] is False
         assert warm["from_cache"] is True
         assert warm["complexity"] == cold["complexity"]

@@ -3,8 +3,11 @@
 The service resolves problems, generates censuses, validates priorities,
 builds its cache and reports its uptime through the same code as a
 ``local://`` session.  These tests pin the places where separate copies of
-that code once disagreed: the raw wire's error frames, the uptime gauge,
-and the cache settings of ``repro serve`` and ``stdio:`` sessions.
+that code once disagreed: the raw wire's error frames, empty inputs, the
+uptime gauge, and the cache settings of ``repro serve`` and ``stdio:``
+sessions.  They also pin the one remote request path: a ``tcp://`` session
+sends exactly one wire request per call, its params built by the session's
+remote driver.
 """
 
 import os
@@ -15,7 +18,13 @@ import time
 import pytest
 
 import repro
-from repro.api import SessionConfig, SessionError, connect, parse_endpoint
+from repro.api import (
+    RequestError,
+    SessionConfig,
+    SessionError,
+    connect,
+    parse_endpoint,
+)
 from repro.core.parser import parse_problem
 from repro.engine.serialization import problem_to_dict
 from repro.service import ServiceClient, ServiceError, ThreadedService
@@ -83,6 +92,56 @@ class TestWireErrorParity:
         assert local["non-text non-object spec"][0] == "bad-problem"
         assert local["unknown priority"][0] == "bad-request"
         assert local["census count 0"] == ("bad-request", "census requires count >= 1")
+
+
+@pytest.fixture(params=["local://inline", "tcp", "stdio:"])
+def any_session(request):
+    """A session on each endpoint kind; ``tcp`` gets a fresh service."""
+    if request.param == "tcp":
+        with ThreadedService() as (host, port):
+            with connect(f"tcp://{host}:{port}") as session:
+                yield session
+    else:
+        with connect(request.param) as session:
+            yield session
+
+
+class TestEmptyInputParity:
+    def test_empty_input_answers_alike_on_every_endpoint(self, any_session):
+        assert list(any_session.classify_many([])) == []
+        with pytest.raises(RequestError) as info:
+            any_session.warm(problems=[])
+        assert info.value.message == "warm requires problems and/or census parameters"
+        # Nothing went wrong on the way: the session still serves.
+        assert any_session.classify(TWO_COLORING).ok
+
+
+class TestRemoteRequestPath:
+    def test_tcp_session_sends_one_request_per_call(self, monkeypatch):
+        sent = []
+        send = ServiceClient.send
+
+        def capture(client, op, params=None, request_id=None):
+            sent.append((op, params))
+            return send(client, op, params, request_id)
+
+        monkeypatch.setattr(ServiceClient, "send", capture)
+        census = {"labels": 2, "delta": 2, "density": 0.5, "count": 3, "seed": 4}
+        with ThreadedService() as (host, port):
+            with connect(f"tcp://{host}:{port}") as session:
+                session.classify(TWO_COLORING, deadline=0.25)
+                session.warm(census=census, budget=0.5)
+                list(session.census(**census))
+        classify, warm, census_request = sent
+        assert classify[0] == "classify"
+        assert set(classify[1]) == {"problem", "priority", "deadline_ms"}
+        assert classify[1]["priority"] == "interactive"
+        assert classify[1]["deadline_ms"] == 250.0
+        assert warm == (
+            "warm",
+            {"wait": False, "census": census, "priority": "warm", "budget_ms": 500.0},
+        )
+        assert census_request == ("census", {**census, "priority": "warm"})
 
 
 def _uptime(session):
