@@ -47,7 +47,7 @@ block is parsed with the grammar above.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set
 
 from .configuration import Configuration, Label
 from .problem import LCLError, LCLProblem
@@ -119,19 +119,26 @@ def parse_problem(
             lines.append(stripped)
     if not lines:
         raise LCLError("problem description contains no configurations")
-    configurations = [parse_configuration(line, labels) for line in lines]
-    inferred_delta = configurations[0].delta
-    if delta is None:
-        delta = inferred_delta
-    for config in configurations:
-        if config.delta != delta:
+    # One pass: each configuration is built once, checked against delta
+    # (so the first bad line in text order is the one reported), and its
+    # labels collected for the alphabet.
+    configurations: Set[Configuration] = set()
+    used: Set[Label] = set()
+    for line in lines:
+        config = parse_configuration(line, labels)
+        if delta is None:
+            delta = config.delta
+        elif config.delta != delta:
             raise LCLError(
                 f"configuration {config} has {config.delta} children, expected {delta}"
             )
-    return LCLProblem.create(
+        configurations.add(config)
+        used.add(config.parent)
+        used.update(config.children)
+    return LCLProblem(
         delta=delta,
-        configurations=[(c.parent, c.children) for c in configurations],
-        labels=labels,
+        labels=used if labels is None else labels,
+        configurations=configurations,
         name=name,
     )
 

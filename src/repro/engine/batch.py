@@ -142,8 +142,9 @@ class PendingClassification:
     Genuine search errors still propagate as exceptions.
 
     ``form`` and ``job`` are ``None`` when canonicalization itself was
-    interrupted: there was no key to look up or schedule, and ``outcome``
-    says why.
+    interrupted, or when a cancelled streaming request never submitted the
+    problem: there was no key to look up or schedule, and ``outcome`` says
+    why.
     """
 
     problem: LCLProblem

@@ -405,7 +405,7 @@ class ClassificationCache:
             return iter(list(self._entries))
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept; use ``reset_stats`` too).
+        """Drop every entry (statistics are kept).
 
         On persistent backends the dropped keys are marked dead, so the next
         flush or save removes them from the durable tier as well.
@@ -413,10 +413,6 @@ class ClassificationCache:
         with self._lock:
             for key in list(self._entries):
                 self._drop_entry(key)
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/expiry/flush counters."""
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # Durable persistence

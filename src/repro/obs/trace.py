@@ -60,9 +60,6 @@ TRACE_ENV = "REPRO_TRACE"
 """Environment switch: unset/empty = disabled, ``1``/``true``/``on``/``mem`` =
 in-memory only, anything else = path of the JSONL event log (implies enabled)."""
 
-TRACE_SLOW_MS_ENV = "REPRO_TRACE_SLOW_MS"
-TRACE_RING_ENV = "REPRO_TRACE_RING"
-
 DEFAULT_RING_SIZE = 256
 """Finished traces retained in memory (and addressable by request id)."""
 
@@ -319,27 +316,14 @@ class Tracer:
 
     @classmethod
     def from_env(cls, environ: Optional[Dict[str, str]] = None) -> "Tracer":
-        """Build a tracer from ``REPRO_TRACE`` (and tuning) env variables."""
+        """Build a tracer from the ``REPRO_TRACE`` env variable."""
         env = environ if environ is not None else os.environ
         raw = (env.get(TRACE_ENV) or "").strip()
         enabled = bool(raw)
         log_path: Optional[str] = None
         if raw and raw.lower() not in ("1", "true", "on", "mem", "memory"):
             log_path = raw
-        kwargs: Dict[str, Any] = {}
-        slow = env.get(TRACE_SLOW_MS_ENV)
-        if slow:
-            try:
-                kwargs["slow_threshold_ms"] = float(slow)
-            except ValueError:
-                pass
-        ring = env.get(TRACE_RING_ENV)
-        if ring:
-            try:
-                kwargs["ring_size"] = int(ring)
-            except ValueError:
-                pass
-        return cls(enabled=enabled, log_path=log_path, **kwargs)
+        return cls(enabled=enabled, log_path=log_path)
 
     # ------------------------------------------------------------------
     # Trace lifecycle

@@ -73,9 +73,6 @@ OPERATIONS: Tuple[str, ...] = (
 )
 """Operations a server must implement, announced in the ``hello`` frame."""
 
-STREAMING_OPERATIONS: Tuple[str, ...] = ("classify_batch", "census")
-"""Operations answered with ``item``* ``done`` instead of a single ``result``."""
-
 # Machine-readable error codes (the ``code`` field of error objects).
 ERROR_PARSE = "parse-error"  # request line is not valid JSON
 ERROR_BAD_REQUEST = "bad-request"  # JSON but not a well-formed request

@@ -19,17 +19,20 @@ protocol:
   concurrent connections on a listening socket.
 
 Batch and census requests *stream*: every classified problem is written as an
-``item`` frame the moment its certificate search (or cache hit) completes,
-followed by a terminal ``done`` frame with the request summary.  All searches
-execute through the driver's single-flight
+``item`` frame, in request order, as soon as it and every problem before it
+are answered, followed by a terminal ``done`` frame with the request summary.
+All searches execute through the driver's single-flight
 :class:`~repro.workers.ClassificationScheduler` on a configurable worker
-backend (``--worker-backend inline|threads|processes``, ``--workers N``): a
-batch's uncached representatives are fanned out up front and frames stream
-as each future resolves, independent problems from concurrent connections
-classify concurrently, and concurrent requests for the same uncached
-canonical key share exactly one search.  The ``warm`` operation pre-schedules
-a future batch or census's canonical keys so the shared cache is hot before
-the real request arrives.
+backend (``--worker-backend inline|threads|processes``, ``--workers N``).
+Each problem is canonicalized and submitted on an executor thread; the
+scheduler's future is then awaited on the event loop, so no thread waits on
+a search and slow requests never starve the other connections.  A batch's
+uncached representatives fan out across a pooled backend while its hits
+stream at once, independent problems from concurrent connections classify
+concurrently, and concurrent requests for the same uncached canonical key
+share exactly one search.  The ``warm`` operation pre-schedules a future
+batch or census's canonical keys so the shared cache is hot before the real
+request arrives.
 
 Protocol version 3 exposes the scheduler's fairness controls: every
 scheduling operation accepts ``priority`` (``interactive`` > ``batch`` >
@@ -77,7 +80,6 @@ from ..api.session import (
 from ..core.problem import LCLProblem
 from ..engine.batch import PendingClassification
 from ..engine.cache import ClassificationCache
-from ..engine.canonical import canonical_form
 
 # Unused here since problems resolve through `resolve_problem`, but kept
 # bound: perfbench/layers.py wraps `problem_from_dict` at this attribute.
@@ -152,9 +154,8 @@ class _ActiveRequest:
     """One in-flight streaming/classify request, addressable by ``cancel``.
 
     ``pendings`` collects the scheduler submissions made for the request;
-    ``cancel_requested`` tells a sequentially-streaming handler (synchronous
-    backend) to stop submitting further items.  All mutation happens on the
-    service's event loop thread.
+    ``cancel_requested`` tells a streaming handler to stop submitting further
+    items.  All mutation happens on the service's event loop thread.
     """
 
     __slots__ = ("pendings", "cancel_requested")
@@ -216,9 +217,8 @@ class ClassificationService:
                 flush_interval=DEFAULT_CACHE_FLUSH_INTERVAL,
                 flush_max_dirty=DEFAULT_CACHE_FLUSH_MAX_DIRTY,
             )
-        # Spawn pool workers now (and detect a process pool degrading to
-        # inline execution) so the streaming strategy of `_stream_items`
-        # matches how searches will really run from the very first request.
+        # Spawn pool workers now, and detect a process pool degrading to
+        # inline execution before the first `warm` reads `synchronous`.
         self.driver.scheduler.backend.probe()
         # In-flight requests addressable by `cancel`, keyed by request id.
         # Ids are client-chosen, so several connections may reuse one id;
@@ -232,29 +232,46 @@ class ClassificationService:
     # ------------------------------------------------------------------
     # Engine access
     # ------------------------------------------------------------------
-    async def _classify(
+    async def _submit(
         self,
         problem: LCLProblem,
         priority: str,
         deadline: Optional[float],
         active: _ActiveRequest,
         trace: Optional[RequestTrace],
-    ) -> Outcome:
-        """Classify one problem off the event loop.
+    ) -> PendingClassification:
+        """Canonicalize and submit one problem on an executor thread.
 
-        No global lock: the scheduler single-flights per canonical key, so
-        concurrent connections classifying *different* problems proceed in
-        parallel, and ones racing on the *same* problem share one search.
-        The submission is tracked on ``active`` before this coroutine
-        blocks, so a concurrent ``cancel`` can detach it.
+        The hop keeps canonicalization, and on a synchronous backend the
+        search itself, off the event loop.  No global lock: the scheduler
+        single-flights per canonical key, so concurrent connections
+        classifying *different* problems proceed in parallel, and ones racing
+        on the *same* problem share one search.  The submission is tracked
+        on ``active`` at once, so a concurrent ``cancel`` can detach it.
         """
-        loop = asyncio.get_running_loop()
-        driver = self.driver
-        pending = await loop.run_in_executor(
-            None, driver.submit_item, problem, priority, deadline, trace
+        pending = await asyncio.get_running_loop().run_in_executor(
+            None, self.driver.submit_item, problem, priority, deadline, trace
         )
         active.track(pending)
-        return await loop.run_in_executor(None, driver.resolve, pending, trace)
+        return pending
+
+    async def _resolve(
+        self, pending: PendingClassification, trace: Optional[RequestTrace]
+    ) -> Outcome:
+        """Await ``pending``'s scheduler future on the loop; collect it.
+
+        No thread waits on a search, so slow requests cannot take the
+        executor threads every other connection's submissions hop through.
+        """
+        if not pending.done:
+            settled = asyncio.wrap_future(pending.job.future)
+            # `resolve` reports a failed search, so mark the copy's error
+            # retrieved, even when this handler is cancelled before then.
+            settled.add_done_callback(asyncio.Future.exception)
+            # `wait` rather than `await`: a cancelled handler must not
+            # cancel the scheduler's future underneath it.
+            await asyncio.wait((settled,))
+        return self.driver.resolve(pending, trace)
 
     @contextlib.contextmanager
     def _track_active(self, request: Request):
@@ -285,7 +302,8 @@ class ClassificationService:
         # sent this frame can fetch its span tree back with the `trace` op.
         trace = self.driver.tracer.start("classify", request_id=request.id)
         with self._track_active(request) as active:
-            outcome = await self._classify(problem, priority, deadline, active, trace)
+            pending = await self._submit(problem, priority, deadline, active, trace)
+            outcome = await self._resolve(pending, trace)
         await send(result_frame(request.id, outcome.as_dict()))
 
     async def _stream_items(
@@ -296,25 +314,21 @@ class ClassificationService:
         priority: str,
         deadline: Optional[float],
     ) -> List[Outcome]:
-        """Stream one ``item`` frame per problem; return the outcomes.
+        """Stream one ``item`` frame per problem, in order; return the outcomes.
 
-        All problems are submitted to the scheduler up front, so uncached
-        representatives fan out across the worker backend; frames are then
-        written in submission order as each future resolves, so a slow search
-        overlaps with everything behind it instead of serializing the stream.
+        One loop serves every backend: submit the next problem, then write
+        every leading item whose outcome is already known; after the last
+        submission, await the rest in order.  On a pooled backend uncached
+        representatives fan out across the workers while hits stream at
+        once; on a synchronous one (``inline``, or a ``processes`` pool that
+        degraded to inline execution) each search runs inside its
+        submission, so every item is written before the next search starts.
         ``deadline`` bounds each problem's canonicalization and search;
         expired or cancelled keys stream as ``outcome: "timeout"``/
         ``"cancelled"`` items while the rest of the request completes.
-
-        A synchronous backend (``inline``, or a ``processes`` pool that
-        degraded to inline execution) runs each search *inside*
-        ``submit_item``, so the up-front fan-out would silently hold every
-        frame until the whole request finished; those configurations classify
-        problem by problem instead, streaming between searches exactly like
-        protocol v1 (there, a ``cancel`` skips the items not yet started but
-        cannot interrupt the search already running).
+        Problems reached after a ``cancel`` are not submitted: they stream
+        as ``cancelled`` with ``canonical_key: null``.
         """
-        loop = asyncio.get_running_loop()
         driver = self.driver
         # Per-item traces under sub-ids "<request id>.<seq>", so any item of
         # a batch/census is individually retrievable via the `trace` op.
@@ -325,41 +339,26 @@ class ClassificationService:
                 driver.tracer.start(request.op, request_id=f"{base}.{seq}")
                 for seq in range(len(problems))
             ]
+        pendings: List[PendingClassification] = []
         outcomes: List[Outcome] = []
         with self._track_active(request) as active:
-            if driver.scheduler.backend.synchronous:
-                for seq, (problem, trace) in enumerate(zip(problems, traces)):
-                    if active.cancel_requested:
-                        outcome = Outcome(
-                            name=problem.name,
-                            outcome=OUTCOME_CANCELLED,
-                            canonical_key=canonical_form(problem).key,
-                            problem=problem,
-                        )
-                        if trace is not None:
-                            trace.finish(OUTCOME_CANCELLED)
-                    else:
-                        outcome = await self._classify(
-                            problem, priority, deadline, active, trace
-                        )
-                    await send(item_frame(request.id, seq, outcome.as_dict()))
-                    outcomes.append(outcome)
-            else:
-                pendings = await loop.run_in_executor(
-                    None,
-                    lambda: [
-                        driver.submit_item(problem, priority, deadline, trace)
-                        for problem, trace in zip(problems, traces)
-                    ],
-                )
-                for pending in pendings:
-                    active.track(pending)
-                for seq, (pending, trace) in enumerate(zip(pendings, traces)):
-                    outcome = await loop.run_in_executor(
-                        None, driver.resolve, pending, trace
+            for problem, trace in zip(problems, traces):
+                if active.cancel_requested:
+                    pending = PendingClassification(
+                        problem, None, None, OUTCOME_CANCELLED
                     )
+                else:
+                    pending = await self._submit(
+                        problem, priority, deadline, active, trace
+                    )
+                pendings.append(pending)
+                last = len(pendings) == len(problems)
+                seq = len(outcomes)
+                while seq < len(pendings) and (last or pendings[seq].done):
+                    outcome = await self._resolve(pendings[seq], traces[seq])
                     await send(item_frame(request.id, seq, outcome.as_dict()))
                     outcomes.append(outcome)
+                    seq += 1
         return outcomes
 
     async def _handle_classify_batch(self, request: Request, send: _SendFrame) -> None:

@@ -152,9 +152,10 @@ class WorkerBackend:
     def synchronous(self) -> bool:
         """True when ``submit`` executes the task before returning.
 
-        Callers that fan submissions out up front (the service's streaming
-        path) must not do so on a synchronous backend — the fan-out itself
-        would run every task back to back.
+        :meth:`ClassificationScheduler.warm
+        <repro.workers.scheduler.ClassificationScheduler.warm>` reads it: on a
+        synchronous backend each search runs inside its submission, so a
+        warm budget must bound every search instead of the wait after them.
         """
         return False
 
@@ -162,9 +163,9 @@ class WorkerBackend:
         """Eagerly verify the backend can actually execute work.
 
         Pool backends that initialize lazily (``processes``) spawn their
-        workers here, so properties like :attr:`synchronous` reflect reality
-        *before* the first real task instead of after it.  A no-op for
-        backends with nothing to spawn.
+        workers here, so the first request does not pay the spawn and
+        :attr:`synchronous` reflects reality *before* the first real task
+        instead of after it.  A no-op for backends with nothing to spawn.
         """
 
     def close(self) -> None:
@@ -346,7 +347,7 @@ class ProcessBackend(WorkerBackend):
 
         After this returns, :attr:`degraded` (and therefore
         :attr:`synchronous`) is accurate — the service probes at startup so
-        its streaming strategy matches how tasks will really execute.
+        a ``warm`` budget is applied the way its searches will really run.
         """
         self.submit(int).result(timeout=300)
 

@@ -711,9 +711,11 @@ class ClassificationScheduler:
             except ValueError:  # pragma: no cover - resolved concurrently
                 return False
             last = flight.outcome is None and not flight.waiters
-        waiter.future.set_exception(error)
         if last:
+            # Settle the flight before waking its waiter, so a client that
+            # has seen the timeout also sees it in the scheduler's counters.
             self._cancel_flight(flight, reason)
+        waiter.future.set_exception(error)
         return True
 
     def _expire_waiter(self, waiter: _Waiter) -> None:

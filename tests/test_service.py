@@ -1,6 +1,8 @@
 """Tests for the classification service: protocol, server, client, streaming,
 concurrent clients (single-flight), and cache warming."""
 
+import contextlib
+import gc
 import json
 import threading
 import time
@@ -9,7 +11,7 @@ import pytest
 
 from repro.core import classify
 from repro.engine import ClassificationCache, canonical_key, problem_to_dict
-from repro.problems import catalog
+from repro.problems import catalog, hard_problem
 from repro.problems.random_problems import random_problem
 from repro.service import ServiceClient, ServiceError, ThreadedService
 from repro.service.protocol import (
@@ -448,6 +450,102 @@ class TestWarm:
                     client.request("warm", {"census": "not an object"})
                 # The connection survives and still serves.
                 assert client.request("classify", {"problem": "1 : 1 1"})["complexity"] == "O(1)"
+
+
+# ----------------------------------------------------------------------
+# Liveness: slow requests never hold up the other connections
+# ----------------------------------------------------------------------
+EASY = "1 : 2 2\n2 : 1 1"
+
+
+class TestLiveness:
+    # More than the default executor's min(32, cpus + 4) threads on any host.
+    SLOW_REQUESTS = 33
+
+    @pytest.mark.parametrize("op", ["classify", "classify_batch"])
+    def test_cache_hit_answers_while_slow_requests_wait(self, op, caplog):
+        """A warm hit answers at once while more slow requests wait on one
+        search than the service has executor threads."""
+        hard = problem_to_dict(hard_problem(12))
+        params = {"deadline_ms": 4000}
+        if op == "classify":
+            params["problem"] = hard
+        else:
+            params["problems"] = [hard]
+        with ThreadedService(backend="threads", workers=1) as address:
+            with contextlib.ExitStack() as connections:
+                client, *slow = [
+                    connections.enter_context(ServiceClient.connect_tcp(*address))
+                    for _ in range(1 + self.SLOW_REQUESTS)
+                ]
+                client.request("warm", {"problems": [EASY], "wait": True})
+                before = client.request("stats")["batch"]["submitted"]
+                request_ids = [each.send(op, params) for each in slow]
+                give_up = time.monotonic() + 30
+                while (
+                    client.request("stats")["batch"]["submitted"]
+                    < before + self.SLOW_REQUESTS
+                ):
+                    assert time.monotonic() < give_up
+                    time.sleep(0.02)
+                start = time.monotonic()
+                hit = client.request("classify", {"problem": EASY})
+                elapsed = time.monotonic() - start
+                outcomes = [
+                    frame["data"]["outcome"]
+                    for each, request_id in zip(slow, request_ids)
+                    for frame in each.frames(request_id)
+                    if frame["type"] in ("item", "result")
+                ]
+        assert hit["from_cache"] is True
+        assert elapsed < 2.0, f"cache hit took {elapsed:.3f}s"
+        assert outcomes == ["timeout"] * self.SLOW_REQUESTS
+        gc.collect()
+        assert "Future exception was never retrieved" not in caplog.text
+
+
+class TestInlineBackend:
+    """On a synchronous backend each search runs inside its submission."""
+
+    def test_batch_streams_an_item_before_the_next_search_ends(self):
+        hard = problem_to_dict(hard_problem(12))
+        with ThreadedService(backend="inline") as address:
+            with ServiceClient.connect_tcp(*address) as client:
+                request_id = client.send(
+                    "classify_batch", {"problems": [EASY, hard], "deadline_ms": 1500}
+                )
+                arrivals = [
+                    (frame, time.monotonic()) for frame in client.frames(request_id)
+                ]
+        (easy, easy_at), (slow, slow_at), _done = arrivals
+        assert easy["data"]["outcome"] == "ok"
+        assert slow["data"]["outcome"] == "timeout"
+        # The easy item was written long before the hard one's deadline.
+        assert slow_at - easy_at > 0.5
+
+    def test_cancel_streams_every_later_item_as_cancelled(self):
+        hard = problem_to_dict(hard_problem(12))
+        problems = [hard, EASY, "1 : 1 1"]
+        with ThreadedService(backend="inline") as address:
+            with ServiceClient.connect_tcp(*address) as client:
+                request_id = client.send(
+                    "classify_batch", {"problems": problems, "deadline_ms": 1500}
+                )
+                # The leading search cannot be interrupted mid-item, so it
+                # runs to its deadline while this cancel lands.
+                with ServiceClient.connect_tcp(*address) as canceller:
+                    give_up = time.monotonic() + 10
+                    while not canceller.request(
+                        "cancel", {"request_id": request_id}
+                    )["found"]:
+                        assert time.monotonic() < give_up
+                        time.sleep(0.02)
+                frames = list(client.frames(request_id))
+        outcomes = [frame["data"]["outcome"] for frame in frames[:-1]]
+        assert outcomes == ["timeout", "cancelled", "cancelled"]
+        summary = frames[-1]["data"]
+        assert summary["count"] == 3
+        assert summary["timeouts"] == 1 and summary["cancelled"] == 2
 
 
 # ----------------------------------------------------------------------
