@@ -18,8 +18,19 @@ used heavily by the test-suite and by the certificate-driven distributed solvers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .configuration import Configuration, Label
 from .problem import LCLProblem
@@ -44,10 +55,8 @@ class CertificateTree:
     children: Tuple["CertificateTree", ...] = ()
 
     def depth(self) -> int:
-        """Depth of the tree (0 for a single node)."""
-        if not self.children:
-            return 0
-        return 1 + max(child.depth() for child in self.children)
+        """Depth of the tree: the largest leaf depth (0 for a single node)."""
+        return _walk(self).depth
 
     def size(self) -> int:
         """Total number of nodes."""
@@ -55,33 +64,15 @@ class CertificateTree:
 
     def is_complete(self, delta: int) -> bool:
         """Whether every internal node has exactly ``delta`` children and all leaves share a depth."""
-        depths: Set[int] = set()
-
-        def visit(node: "CertificateTree", depth: int) -> bool:
-            if not node.children:
-                depths.add(depth)
-                return True
-            if len(node.children) != delta:
-                return False
-            return all(visit(child, depth + 1) for child in node.children)
-
-        return visit(self, 0) and len(depths) == 1
+        return _walk(self).is_complete(delta)
 
     def leaf_labels(self) -> Tuple[Label, ...]:
         """Labels of the leaves in left-to-right order."""
-        if not self.children:
-            return (self.label,)
-        result: List[Label] = []
-        for child in self.children:
-            result.extend(child.leaf_labels())
-        return tuple(result)
+        return _walk(self).leaves
 
     def labels_used(self) -> FrozenSet[Label]:
         """All labels occurring anywhere in the tree."""
-        used: Set[Label] = {self.label}
-        for child in self.children:
-            used |= child.labels_used()
-        return frozenset(used)
+        return frozenset(_walk(self).labels)
 
     def iter_internal_configurations(self) -> Iterator[Configuration]:
         """Yield the configuration of every internal node."""
@@ -105,13 +96,77 @@ class CertificateTree:
 
     def validate_against(self, problem: LCLProblem) -> List[str]:
         """Check that every internal node uses an allowed configuration."""
+        return _walk(self, _allowed_nodes(problem)).problem_issues(problem)
+
+
+class _TreeShape(NamedTuple):
+    """What one pre-order walk of a :class:`CertificateTree` finds."""
+
+    arities: Set[int]
+    leaf_depths: Set[int]
+    labels: Set[Label]
+    forbidden: List[Configuration]
+    leaves: Tuple[Label, ...]
+
+    @property
+    def depth(self) -> int:
+        """The largest leaf depth."""
+        return max(self.leaf_depths)
+
+    def is_complete(self, delta: int) -> bool:
+        """Every internal node has ``delta`` children and all leaves share a depth."""
+        return self.arities <= {delta} and len(self.leaf_depths) == 1
+
+    def problem_issues(self, problem: LCLProblem) -> List[str]:
+        """The violations :meth:`CertificateTree.validate_against` reports."""
         issues: List[str] = []
-        if not self.labels_used() <= problem.labels:
+        if not self.labels <= problem.labels:
             issues.append("tree uses labels outside the problem alphabet")
-        for config in self.iter_internal_configurations():
-            if config not in problem.configurations:
-                issues.append(f"configuration {config} not allowed by the problem")
+        for config in self.forbidden:
+            issues.append(f"configuration {config} not allowed by the problem")
         return issues
+
+
+def _allowed_nodes(problem: LCLProblem) -> Set[Tuple[Label, Tuple[Label, ...]]]:
+    """``(parent, sorted children)`` of every configuration of ``problem``."""
+    return {(config.parent, config.children) for config in problem.configurations}
+
+
+def _walk(
+    tree: CertificateTree,
+    allowed: Optional[Set[Tuple[Label, Tuple[Label, ...]]]] = None,
+) -> _TreeShape:
+    """Walk ``tree`` once, in pre-order, for every property a certificate check needs.
+
+    The shape holds the child counts of the internal nodes, the leaf depths,
+    every label, the leaf labels from left to right and, when ``allowed`` is
+    given, the internal configurations outside it in
+    ``iter_internal_configurations`` order.
+    """
+    arities: Set[int] = set()
+    leaf_depths: Set[int] = set()
+    labels: Set[Label] = set()
+    forbidden: List[Configuration] = []
+    leaves: List[Label] = []
+    stack: List[Tuple[CertificateTree, int]] = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        label = node.label
+        labels.add(label)
+        children = node.children
+        if not children:
+            leaf_depths.add(depth)
+            leaves.append(label)
+            continue
+        arities.add(len(children))
+        if allowed is not None:
+            child_labels = tuple(sorted([child.label for child in children]))
+            if (label, child_labels) not in allowed:
+                forbidden.append(Configuration(label, child_labels))
+        depth += 1
+        for child in reversed(children):
+            stack.append((child, depth))
+    return _TreeShape(arities, leaf_depths, labels, forbidden, tuple(leaves))
 
 
 # ----------------------------------------------------------------------
@@ -143,24 +198,26 @@ class UniformCertificate:
         if set(self.trees.keys()) != set(self.labels):
             issues.append("certificate must contain exactly one tree per certificate label")
             return issues
+        delta = self.problem.delta
+        allowed = _allowed_nodes(self.problem)
         reference_leaves: Optional[Tuple[Label, ...]] = None
         for label in sorted(self.labels):
             tree = self.trees[label]
+            shape = _walk(tree, allowed)
             if tree.label != label:
                 issues.append(f"tree for label {label!r} has root {tree.label!r}")
-            if not tree.is_complete(self.problem.delta):
-                issues.append(f"tree for label {label!r} is not a complete {self.problem.delta}-ary tree")
-            if tree.depth() != self.depth:
+            if not shape.is_complete(delta):
+                issues.append(f"tree for label {label!r} is not a complete {delta}-ary tree")
+            if shape.depth != self.depth:
                 issues.append(
-                    f"tree for label {label!r} has depth {tree.depth()}, expected {self.depth}"
+                    f"tree for label {label!r} has depth {shape.depth}, expected {self.depth}"
                 )
-            if not tree.labels_used() <= self.labels:
+            if not shape.labels <= self.labels:
                 issues.append(f"tree for label {label!r} uses labels outside the certificate labels")
-            issues.extend(tree.validate_against(self.problem))
-            leaves = tree.leaf_labels()
+            issues.extend(shape.problem_issues(self.problem))
             if reference_leaves is None:
-                reference_leaves = leaves
-            elif leaves != reference_leaves:
+                reference_leaves = shape.leaves
+            elif shape.leaves != reference_leaves:
                 issues.append(f"tree for label {label!r} has a different leaf labeling")
         return issues
 
@@ -225,6 +282,7 @@ class CoprimeCertificate:
             issues.append("both depths must be at least 1")
         if gcd(d1, d2) != 1:
             issues.append(f"depths {d1} and {d2} are not coprime")
+        allowed = _allowed_nodes(self.problem)
         for depth, trees in ((d1, self.trees_first), (d2, self.trees_second)):
             if set(trees.keys()) != set(self.labels):
                 issues.append("each family must contain exactly one tree per certificate label")
@@ -232,14 +290,15 @@ class CoprimeCertificate:
             reference: Optional[Tuple[Label, ...]] = None
             for label in sorted(self.labels):
                 tree = trees[label]
+                shape = _walk(tree, allowed)
                 if tree.label != label:
                     issues.append(f"tree for label {label!r} has root {tree.label!r}")
-                if not tree.is_complete(self.problem.delta) or tree.depth() != depth:
+                if not shape.is_complete(self.problem.delta) or shape.depth != depth:
                     issues.append(
                         f"tree for label {label!r} is not a complete tree of depth {depth}"
                     )
-                issues.extend(tree.validate_against(self.problem))
-                leaves = tree.leaf_labels()
+                issues.extend(shape.problem_issues(self.problem))
+                leaves = shape.leaves
                 if reference is None:
                     reference = leaves
                 elif leaves != reference:
@@ -280,23 +339,31 @@ class ConstantCertificate:
 
     def validate(self) -> List[str]:
         """Check all conditions of Definition 7.1; return a list of violations."""
-        issues = list(self.uniform.validate())
-        config = self.special_configuration
-        if not config.is_special():
-            issues.append(f"configuration {config} is not special (parent not among children)")
-        if config not in self.problem.configurations:
-            issues.append(f"special configuration {config} not allowed by the problem")
-        if not config.labels <= self.uniform.labels:
-            issues.append("special configuration uses labels outside the certificate labels")
-        if config.parent not in self.uniform.leaf_labels():
-            issues.append(
-                f"special label {config.parent!r} does not occur at a certificate leaf"
-            )
-        return issues
+        return self.uniform.validate() + _special_configuration_issues(
+            self.uniform, self.special_configuration
+        )
 
     def is_valid(self) -> bool:
         """Whether the certificate satisfies Definition 7.1."""
         return not self.validate()
+
+
+def _special_configuration_issues(
+    uniform: UniformCertificate, config: Configuration
+) -> List[str]:
+    """What Definition 7.1 adds to a uniform certificate: the special configuration."""
+    issues: List[str] = []
+    if not config.is_special():
+        issues.append(f"configuration {config} is not special (parent not among children)")
+    if config not in uniform.problem.configurations:
+        issues.append(f"special configuration {config} not allowed by the problem")
+    if not config.labels <= uniform.labels:
+        issues.append("special configuration uses labels outside the certificate labels")
+    if config.parent not in uniform.leaf_labels():
+        issues.append(
+            f"special label {config.parent!r} does not occur at a certificate leaf"
+        )
+    return issues
 
 
 # ----------------------------------------------------------------------
@@ -420,26 +487,52 @@ def _node_at(root: _TemplateNode, path: Sequence[int]) -> _TemplateNode:
     return node
 
 
+class _ChildAssigner:
+    """Children labels for a template node, memoized per certificate build.
+
+    The labels a node's children get (the final phase of Lemma 6.9) depend
+    only on the node's label and its children's label sets: the first
+    configuration of the label, in sorted order, whose children can be
+    assigned to those sets.  One build instantiates the template once per
+    certificate label and once per push-down step, so each such pair is
+    resolved once for all of them.
+    """
+
+    __slots__ = ("options", "memo")
+
+    def __init__(self, problem: LCLProblem) -> None:
+        self.options: Dict[Label, List[Configuration]] = {}
+        for config in problem.sorted_configurations():
+            self.options.setdefault(config.parent, []).append(config)
+        self.memo: Dict[Tuple[Label, Tuple[FrozenSet[Label], ...]], Tuple[Label, ...]] = {}
+
+    def __call__(
+        self, label: Label, child_sets: Tuple[FrozenSet[Label], ...]
+    ) -> Tuple[Label, ...]:
+        key = (label, child_sets)
+        assignment = self.memo.get(key)
+        if assignment is None:
+            for config in self.options.get(label, ()):
+                assignment = assign_children_to_sets(config, child_sets)
+                if assignment is not None:
+                    break
+            else:
+                raise CertificateError(
+                    f"no configuration for label {label!r} matches the template children"
+                )
+            self.memo[key] = assignment
+        return assignment
+
+
 def _instantiate(
-    template: _TemplateNode, root_label: Label, problem: LCLProblem
+    template: _TemplateNode, root_label: Label, assign: _ChildAssigner
 ) -> CertificateTree:
     """Instantiate the template with a concrete root label (final phase of Lemma 6.9)."""
 
     def build(node: _TemplateNode, label: Label) -> CertificateTree:
         if node.is_leaf():
             return CertificateTree(label)
-        child_sets = [child.label_set for child in node.children]
-        chosen: Optional[Tuple[Configuration, Tuple[Label, ...]]] = None
-        for config in sorted(problem.configurations_of(label)):
-            assignment = assign_children_to_sets(config, child_sets)
-            if assignment is not None:
-                chosen = (config, assignment)
-                break
-        if chosen is None:
-            raise CertificateError(
-                f"no configuration for label {label!r} matches the template children"
-            )
-        _config, assignment = chosen
+        assignment = assign(label, tuple([child.label_set for child in node.children]))
         children = tuple(
             build(child, child_label)
             for child, child_label in zip(node.children, assignment)
@@ -454,7 +547,7 @@ def _instantiate(
 def _graft_special_path(
     template: _TemplateNode,
     special_path: List[int],
-    problem: LCLProblem,
+    assign: _ChildAssigner,
     special_label: Label,
 ) -> List[int]:
     """One "push the special leaf down" step of Lemma 6.9 (second phase).
@@ -463,7 +556,7 @@ def _graft_special_path(
     path from the root down to the special leaf of that instance is grafted below
     the current special leaf.  Returns the path to the new special leaf.
     """
-    instance = _instantiate(template, special_label, problem)
+    instance = _instantiate(template, special_label, assign)
     # Walk the instance along the special path, collecting (node, next-index) info.
     instance_nodes: List[CertificateTree] = [instance]
     node = instance
@@ -520,7 +613,10 @@ def _balance_leaves(
 
 
 def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate:
-    """Materialize a uniform certificate from a certificate builder (Lemma 6.9)."""
+    """Materialize a uniform certificate from a certificate builder (Lemma 6.9).
+
+    Every certificate returned has been validated against Definition 6.1.
+    """
     problem = builder.problem
     labels = builder.label_set
 
@@ -533,18 +629,19 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
                 f"single-label builder for {label!r} without a continuation below"
             )
         tree = CertificateTree(label, tuple(CertificateTree(child) for child in config.children))
-        return UniformCertificate(
-            problem=problem, labels=labels, depth=1, trees={label: tree}
+        return _validated(
+            UniformCertificate(problem=problem, labels=labels, depth=1, trees={label: tree})
         )
 
     template, special_path = _expand_template(builder)
+    assign = _ChildAssigner(problem)
 
     # Phase 2 (only with a special label): push the special leaf down until it is deepest.
     if special_path is not None and builder.special_label is not None:
         guard = 0
         while len(special_path) < template.depth():
             special_path = _graft_special_path(
-                template, special_path, problem, builder.special_label
+                template, special_path, assign, builder.special_label
             )
             guard += 1
             if guard > 64:
@@ -556,8 +653,14 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
     depth = template.depth()
     trees: Dict[Label, CertificateTree] = {}
     for label in sorted(labels):
-        trees[label] = _instantiate(template, label, problem)
-    certificate = UniformCertificate(problem=problem, labels=labels, depth=depth, trees=trees)
+        trees[label] = _instantiate(template, label, assign)
+    return _validated(
+        UniformCertificate(problem=problem, labels=labels, depth=depth, trees=trees)
+    )
+
+
+def _validated(certificate: UniformCertificate) -> UniformCertificate:
+    """``certificate``, once Definition 6.1 holds for it in full."""
     issues = certificate.validate()
     if issues:
         raise CertificateError("materialized certificate is invalid: " + "; ".join(issues))
@@ -567,12 +670,13 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
 def build_constant_certificate(
     builder: CertificateBuilder, special_configuration: Configuration
 ) -> ConstantCertificate:
-    """Materialize a constant-time certificate (Definition 7.1) from a builder."""
+    """Materialize a constant-time certificate (Definition 7.1) from a builder.
+
+    :func:`build_uniform_certificate` has validated the uniform part, so only
+    the conditions Definition 7.1 adds are checked here.
+    """
     uniform = build_uniform_certificate(builder)
-    certificate = ConstantCertificate(
-        uniform=uniform, special_configuration=special_configuration
-    )
-    issues = certificate.validate()
+    issues = _special_configuration_issues(uniform, special_configuration)
     if issues:
         raise CertificateError("materialized constant certificate is invalid: " + "; ".join(issues))
-    return certificate
+    return ConstantCertificate(uniform=uniform, special_configuration=special_configuration)

@@ -55,15 +55,22 @@ latency bound.
 Memoization
 -----------
 A :class:`KernelState` carries the memo tables shared by one classification:
-the interned encoding, the child-multiset ↔ set-tuple matching cache, and
-the per-subset outcome of the plain Algorithm 3 sweep (reused verbatim by
-Algorithm 5, so one classification never repeats a sweep).  The state lives
-in a thread-local scope installed by
+the interned encoding, the per-subset outcome of the plain Algorithm 3 sweep
+(reused verbatim by Algorithm 5, so one classification never repeats a
+sweep), and the *roots memo*, which maps a tuple of set masks to the roots
+one derivation step gives on the **full** problem.  The roots memo is exact
+for every restriction: each set of a sweep on subset ``A`` lies inside ``A``,
+so a configuration whose children match those sets lies inside ``A`` too,
+except possibly its parent, and ``roots & A`` drops that parent.  One memo
+therefore serves every Algorithm 4 subset, every flagged Algorithm 5 sweep
+and both flag values.  Its misses ask the state's :class:`MatchingTable`,
+keyed by the multiset of the children's position masks, instead of
+backtracking.  The state lives in a thread-local scope installed by
 :func:`repro.core.classifier.classify_with_certificates`; it is dropped when
 the classification returns *or unwinds*, so an interrupted search never
 leaks partial results into a later one ("interrupted searches cache
-nothing").  Only the pure structural encoding is cached across
-classifications (:func:`problem_encoding`, a bounded LRU).
+nothing").  Only the structural encoding (:func:`problem_encoding`, a
+bounded LRU of a pure function) is kept across classifications.
 
 Selecting the kernel
 --------------------
@@ -185,6 +192,7 @@ class ProblemEncoding:
         self.configs: List[Tuple[int, int, int]] = []
         self.configs_by_parent: List[List[int]] = [[] for _ in range(self.num_labels)]
         group_map: Dict[Tuple[int, ...], int] = {}
+        group_bits: Dict[Tuple[int, ...], int] = {}
         self.specials: List[Tuple[Configuration, int, int]] = []
         for config in problem.sorted_configurations():
             parent = self.index_of[config.parent]
@@ -196,13 +204,18 @@ class ProblemEncoding:
             self.configs.append((parent, mask, child_bits))
             self.configs_by_parent[parent].append(mask)
             group_map[children] = group_map.get(children, 0) | (1 << parent)
+            group_bits[children] = child_bits
             if config.is_special():
                 self.specials.append((config, parent, mask))
 
-        # Configurations grouped by children multiset: the child-to-set
-        # matching of a derivation step only depends on the multiset, so one
-        # matching decision covers every parent sharing it.
-        self.groups: List[Tuple[Tuple[int, ...], int]] = sorted(group_map.items())
+        # Configurations grouped by children multiset, as ``(children,
+        # distinct-children bits, parents mask)``: the child-to-set matching
+        # of a derivation step only depends on the multiset, so one matching
+        # decision covers every parent sharing it.
+        self.groups: List[Tuple[Tuple[int, ...], int, int]] = [
+            (children, group_bits[children], parents)
+            for children, parents in sorted(group_map.items())
+        ]
 
     # ------------------------------------------------------------------
     # Encode / decode
@@ -228,21 +241,6 @@ class ProblemEncoding:
     def allowed_config_count(self, allowed: int) -> int:
         """``|C|`` of the restriction to ``allowed`` (Definition 4.3)."""
         return sum(1 for _p, mask, _b in self.configs if mask & ~allowed == 0)
-
-    def restricted_groups(self, allowed: int) -> List[Tuple[Tuple[int, ...], int]]:
-        """Children groups of the restriction: ``(children, parents mask)``."""
-        out: List[Tuple[Tuple[int, ...], int]] = []
-        append = out.append
-        for children, parents in self.groups:
-            child_bits = 0
-            for child in children:
-                child_bits |= 1 << child
-            if child_bits & ~allowed:
-                continue
-            keep = parents & allowed
-            if keep:
-                append((children, keep))
-        return out
 
     def all_labels_supported(self, allowed: int) -> bool:
         """Whether every label of ``allowed`` parents an in-``allowed`` config.
@@ -400,15 +398,81 @@ def match_children_to_sets(children: Tuple[int, ...], sets: Tuple[int, ...]) -> 
     return backtrack(0)
 
 
+class MatchingTable:
+    """Child-to-set matching answers for one ``δ``, independent of the alphabet.
+
+    For a ``δ``-tuple of sets, a label's *position mask* has bit ``p`` set
+    when ``sets[p]`` holds the label.  Whether ``δ`` children can be
+    assigned bijectively to the sets depends only on the multiset of their
+    position masks, so one answer serves every tuple with that multiset.
+    Masks are numbered as they first appear, and the key is
+    ``Σ (δ+1)^n(mask)`` over the children: a mask occurs at most ``δ``
+    times, so the base-``(δ+1)`` digits are its counts, and keys grow with
+    the masks one search meets instead of with ``2^δ``.  Entries are filled
+    lazily, each by one run of :func:`match_children_to_sets`; there are at
+    most ``C(2^δ+δ−1, δ)`` of them (10, 120 and 3,876 at ``δ`` = 2, 3, 4).
+    """
+
+    __slots__ = ("delta", "answers", "_weights")
+
+    def __init__(self, delta: int) -> None:
+        self.delta = delta
+        self.answers: Dict[int, bool] = {}
+        # Position mask -> (δ+1)^n(mask).
+        self._weights: Dict[int, int] = {}
+
+    def roots(
+        self, groups: Iterable[Tuple[Tuple[int, ...], int, int]], sets: Tuple[int, ...]
+    ) -> int:
+        """The union of the parents masks of ``groups`` whose children match ``sets``.
+
+        ``groups`` holds ``(children, distinct-children bits, parents mask)``
+        triples, as in :attr:`ProblemEncoding.groups`.
+        """
+        union = 0
+        positions: Dict[int, int] = {}
+        bit = 1
+        for labels in sets:
+            union |= labels
+            while labels:
+                low = labels & -labels
+                labels ^= low
+                positions[low] = positions.get(low, 0) | bit
+            bit <<= 1
+        # The key weight of each label of the union, by label index.
+        weights: Dict[int, int] = {}
+        mask_weights = self._weights
+        for low, mask in positions.items():
+            weight = mask_weights.get(mask)
+            if weight is None:
+                weight = mask_weights[mask] = (self.delta + 1) ** len(mask_weights)
+            weights[low.bit_length() - 1] = weight
+        answers = self.answers
+        roots = 0
+        for children, child_bits, parents in groups:
+            # A child in no set, or parents already derived: nothing to decide.
+            if child_bits & ~union or not parents & ~roots:
+                continue
+            key = 0
+            for child in children:
+                key += weights[child]
+            feasible = answers.get(key)
+            if feasible is None:
+                feasible = answers[key] = match_children_to_sets(children, sets)
+            if feasible:
+                roots |= parents
+        return roots
+
+
 # ----------------------------------------------------------------------
 # Algorithm 3 over masks
 # ----------------------------------------------------------------------
 def _unrestricted_search(
     enc: ProblemEncoding,
     labels_mask: int,
-    groups: List[Tuple[Tuple[int, ...], int]],
     special_index: Optional[int],
-    match_memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], bool],
+    roots_memo: Dict[Tuple[int, ...], int],
+    table: MatchingTable,
     sort_key_cache: Dict[int, Tuple[Tuple[int, ...], int]],
 ) -> Optional[Tuple[Dict[int, Tuple[int, ...]], int]]:
     """The fixed point of Algorithm 3 over pair codes ``(mask << 1) | flag``.
@@ -417,10 +481,18 @@ def _unrestricted_search(
     special flag, if any) is derivable, ``None`` otherwise.  Entries map each
     derived pair code to the δ-tuple of pair codes it was derived from —
     the exact analogue of the reference builder's ``entries``.
+
+    ``roots_memo`` maps a tuple of set masks to the roots one derivation
+    step gives on the *full* problem.  Every set of a sweep lies inside
+    ``labels_mask``, so a configuration whose children match them lies
+    inside it too, except possibly its parent: ``roots & labels_mask`` is
+    the derivation on the restriction, and one memo serves every subset
+    and both flag values.
     """
-    if not labels_mask or not groups:
+    if not labels_mask:
         return None
     delta = enc.delta
+    groups = enc.groups
 
     known: Set[int] = {
         ((1 << index) << 1) | (1 if index == special_index else 0)
@@ -439,28 +511,28 @@ def _unrestricted_search(
     while newly:
         added: Set[int] = set()
         all_pairs = sorted(known, key=sort_key)
+        all_sets = [code >> 1 for code in all_pairs]
         # Sorted multisets only: a derivation step is invariant under
         # permuting the tuple, and the lexicographically first deriving
         # tuple in the reference's full product order is always sorted, so
         # the recorded entries come out identical (see module docstring).
-        for tuple_of_pairs in combinations_with_replacement(all_pairs, delta):
+        # The second enumeration yields the same positions over the set
+        # masks, so each tuple's memo key comes without a per-tuple loop.
+        for tuple_of_pairs, sets in zip(
+            combinations_with_replacement(all_pairs, delta),
+            combinations_with_replacement(all_sets, delta),
+        ):
             checkpoint()
-            if not any(code in newly for code in tuple_of_pairs):
+            if newly.isdisjoint(tuple_of_pairs):
                 continue
-            flag = 0
-            for code in tuple_of_pairs:
-                flag |= code & 1
-            sets = tuple(code >> 1 for code in tuple_of_pairs)
-            roots = 0
-            for children, parents in groups:
-                memo_key = (children, sets)
-                feasible = match_memo.get(memo_key)
-                if feasible is None:
-                    feasible = match_children_to_sets(children, sets)
-                    match_memo[memo_key] = feasible
-                if feasible:
-                    roots |= parents
+            roots = roots_memo.get(sets)
+            if roots is None:
+                roots = roots_memo[sets] = table.roots(groups, sets)
+            roots &= labels_mask
             if roots:
+                flag = 0
+                for code in tuple_of_pairs:
+                    flag |= code & 1
                 code = (roots << 1) | flag
                 if code not in known and code not in added:
                     entries[code] = tuple_of_pairs
@@ -479,15 +551,19 @@ class KernelState:
 
     ``plain_memo`` keeps the outcome of the plain (no special label)
     Algorithm 3 sweep per candidate subset, so Algorithm 5 never repeats a
-    sweep Algorithm 4 already ran; ``match_memo`` caches child-multiset ↔
-    set-tuple matching decisions across every sweep of the problem.  States
+    sweep Algorithm 4 already ran.  ``roots_memo`` maps a tuple of set masks
+    to the full problem's derived roots, so each set tuple is derived once
+    for every Algorithm 4 subset, every flagged Algorithm 5 sweep and both
+    flag values (a sweep on subset ``A`` uses ``roots & A``).  Its misses
+    consult ``table``, this state's :class:`MatchingTable` of ``δ``.  States
     are created per classification (see :func:`classification_scope`) and
     never outlive it, so an interrupted search caches nothing.
     """
 
     __slots__ = (
         "encoding",
-        "match_memo",
+        "table",
+        "roots_memo",
         "plain_memo",
         "flagged_memo",
         "sort_key_cache",
@@ -496,7 +572,8 @@ class KernelState:
 
     def __init__(self, encoding: ProblemEncoding) -> None:
         self.encoding = encoding
-        self.match_memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], bool] = {}
+        self.table = MatchingTable(encoding.delta)
+        self.roots_memo: Dict[Tuple[int, ...], int] = {}
         self.plain_memo: Dict[int, Optional[CertificateBuilder]] = {}
         self.flagged_memo: Dict[Tuple[int, int], Optional[CertificateBuilder]] = {}
         self.sort_key_cache: Dict[int, Tuple[Tuple[int, ...], int]] = {}
@@ -553,9 +630,9 @@ class KernelState:
         outcome = _unrestricted_search(
             enc,
             mask,
-            enc.restricted_groups(mask),
             special_index,
-            self.match_memo,
+            self.roots_memo,
+            self.table,
             self.sort_key_cache,
         )
         if outcome is None:
@@ -682,9 +759,9 @@ def find_unrestricted_certificate(
     outcome = _unrestricted_search(
         enc,
         enc.full_mask,
-        enc.restricted_groups(enc.full_mask),
         enc.index_of[special_label] if special_label is not None else None,
         {},
+        MatchingTable(enc.delta),
         {},
     )
     if outcome is None:
@@ -739,6 +816,7 @@ __all__ = [
     "KERNELS",
     "ENV_VAR",
     "KernelState",
+    "MatchingTable",
     "ProblemEncoding",
     "active_kernel",
     "classification_scope",

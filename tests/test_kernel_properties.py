@@ -9,23 +9,34 @@ claim as properties over seeded random label universes:
 * restriction, ``uses_only``, continuation, and flexibility computed on
   masks agree with the ``LCLProblem``/automata set semantics,
 * the child-multiset matching agrees with ``assign_children_to_sets``, and
+  so does the per-δ matching table, whose keys forget the alphabet,
+* the restriction identity behind the roots memo: one derivation step on
+  the full problem, masked to a subset ``A``, is the derivation step on the
+  restriction to ``A``, and
 * renaming invariance: canonical forms still identify renamed problems, and
   the kernel classifies every renaming of a problem identically.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.flexibility import path_flexible_labels
 from repro.core import Configuration, LCLProblem, classify, kernel_override
+from repro.core import kernel
 from repro.core.kernel import (
     BITMASK,
     REFERENCE,
+    MatchingTable,
     match_children_to_sets,
     problem_encoding,
 )
-from repro.core.logstar_certificate import assign_children_to_sets
+from repro.core.logstar_certificate import _derive, assign_children_to_sets
 from repro.engine.canonical import canonical_form
 
 LABEL_NAMES = ["1", "2", "3", "a", "b", "zz"]
@@ -157,15 +168,27 @@ def test_support_test_is_exact(pair):
 # Matching
 # ----------------------------------------------------------------------
 children_strategy = st.lists(
-    st.sampled_from(LABEL_NAMES), min_size=1, max_size=4
+    st.sampled_from(LABEL_NAMES), min_size=1, max_size=5
 )
 sets_strategy = st.lists(
-    st.frozensets(st.sampled_from(LABEL_NAMES), max_size=4), min_size=1, max_size=4
+    st.frozensets(st.sampled_from(LABEL_NAMES), max_size=4), min_size=1, max_size=5
 )
+
+# One table per δ that lives across examples: an answer filled in by one
+# (children, sets) input is served to every later input with the same key.
+TABLES = {delta: MatchingTable(delta) for delta in range(1, 6)}
+
+
+def _table_matches(table, children, sets):
+    """The table's answer for one children multiset, as a one-parent group."""
+    child_bits = 0
+    for child in children:
+        child_bits |= 1 << child
+    return table.roots(((children, child_bits, 1),), sets) == 1
 
 
 @given(children_strategy, sets_strategy)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_matching_agrees_with_reference_assignment(children, sets):
     if len(children) != len(sets):
         sets = (sets * len(children))[: len(children)]
@@ -179,6 +202,20 @@ def test_matching_agrees_with_reference_assignment(children, sets):
     )
     expected = assign_children_to_sets(config, [frozenset(s) for s in sets]) is not None
     assert match_children_to_sets(child_indices, set_masks) == expected
+    assert _table_matches(TABLES[len(children)], child_indices, set_masks) == expected
+
+
+def test_matching_table_is_exact_on_every_small_input():
+    """δ ≤ 3 over three labels, every children multiset against every tuple
+    of label sets, all through one table per δ."""
+    for delta in (1, 2, 3):
+        table = MatchingTable(delta)
+        for children in itertools.combinations_with_replacement(range(3), delta):
+            for sets in itertools.product(range(8), repeat=delta):
+                assert _table_matches(table, children, sets) == match_children_to_sets(
+                    children, sets
+                ), (children, sets)
+        assert len(table.answers) <= {1: 2, 2: 10, 3: 120}[delta]
 
 
 @given(children_strategy, sets_strategy, st.randoms(use_true_random=False))
@@ -192,6 +229,79 @@ def test_matching_is_permutation_invariant(children, sets, rng):
     baseline = match_children_to_sets(child_indices, tuple(set_masks))
     rng.shuffle(set_masks)
     assert match_children_to_sets(child_indices, tuple(set_masks)) == baseline
+
+
+# ----------------------------------------------------------------------
+# The restriction identity behind the roots memo
+# ----------------------------------------------------------------------
+@st.composite
+def problem_subset_and_pairs(draw):
+    """A problem (δ ≤ 3), a label subset ``A`` and a sorted δ-tuple of
+    non-empty subsets of ``A`` with flags: one Algorithm 3 step's input."""
+    delta = draw(st.integers(min_value=1, max_value=3))
+    labels = sorted(draw(labels_strategy))
+    universe = [
+        (parent, children)
+        for parent in labels
+        for children in itertools.combinations_with_replacement(labels, delta)
+    ]
+    chosen = draw(st.lists(st.sampled_from(universe), max_size=len(universe), unique=True))
+    problem = LCLProblem.create(delta=delta, configurations=chosen, labels=labels)
+    subset = draw(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels), unique=True)
+    )
+    pair = st.tuples(
+        st.frozensets(st.sampled_from(sorted(subset)), min_size=1), st.booleans()
+    )
+    pairs = draw(st.lists(pair, min_size=delta, max_size=delta))
+    pairs.sort(key=lambda item: (tuple(sorted(item[0])), item[1]))
+    return problem, frozenset(subset), tuple(pairs)
+
+
+@given(problem_subset_and_pairs())
+@settings(max_examples=150, deadline=None)
+def test_full_roots_masked_to_a_subset_equal_the_restricted_derivation(case):
+    problem, subset, pairs = case
+    enc = problem_encoding(problem)
+    sets = tuple(enc.mask_of(labels) for labels, _flag in pairs)
+    full_roots = MatchingTable(problem.delta).roots(enc.groups, sets)
+    expected_roots, _flag = _derive(problem.restrict(subset), pairs)
+    assert enc.labels_of(full_roots & enc.mask_of(subset)) == expected_roots
+
+
+@pytest.mark.parametrize("delta", [3, 5, 20])
+def test_each_classification_drops_its_own_table(monkeypatch, delta):
+    """A classification's matching table numbers the position masks it meets,
+    so its keys stay small even where ``2^δ`` masks exist, and nothing keeps
+    the table once the classification returns."""
+    tables = []
+
+    class Recording(MatchingTable):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, delta):
+            super().__init__(delta)
+            tables.append(self)
+
+    monkeypatch.setattr(kernel, "MatchingTable", Recording)
+    half = delta // 2
+    problem = LCLProblem.create(
+        delta=delta,
+        configurations=[
+            ("a", ("a",) * (delta - 1) + ("b",)),
+            ("b", ("a",) * half + ("b",) * (delta - half)),
+            ("b", ("a",) * delta),
+        ],
+    )
+    with kernel_override(BITMASK):
+        classify(problem)
+    assert tables and all(table.delta == delta for table in tables)
+    assert any(table.answers for table in tables)  # the sweeps consulted it
+    assert all(key.bit_length() < 1024 for table in tables for key in table.answers)
+    alive = [weakref.ref(table) for table in tables]
+    tables.clear()
+    gc.collect()
+    assert all(ref() is None for ref in alive)
 
 
 # ----------------------------------------------------------------------

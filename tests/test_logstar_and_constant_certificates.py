@@ -11,9 +11,15 @@ from repro.core import (
     has_constant_certificate,
     has_logstar_certificate,
 )
-from repro.core.certificates import CertificateError
+from repro.core.certificates import (
+    CertificateError,
+    CertificateTree,
+    ConstantCertificate,
+    UniformCertificate,
+)
 from repro.core.logstar_certificate import assign_children_to_sets, candidate_label_subsets
 from repro.core.configuration import Configuration
+from repro.core.problem import LCLProblem
 from repro.problems import (
     branch_two_coloring,
     figure2_combined_problem,
@@ -140,3 +146,113 @@ class TestConstantCertificateConstruction:
         for tree in certificate.uniform.trees.values():
             for config in tree.iter_internal_configurations():
                 assert config in problem.configurations
+
+
+def _tree(label, *children):
+    """A labeled tree from nested ``(label, children...)`` calls."""
+    return CertificateTree(label, tuple(children))
+
+
+def _leafy(label, *leaves):
+    return _tree(label, *(_tree(leaf) for leaf in leaves))
+
+
+class TestCertificateValidationRejects:
+    """Each case breaks one condition of Definition 6.1 or 7.1 in a valid
+    certificate and pins the exact issues ``validate()`` reports."""
+
+    # δ = 2 over {a, b, c}; the certificates below use {a, b} only.
+    PROBLEM = LCLProblem.create(
+        delta=2,
+        configurations=[
+            ("a", ("a", "b")),
+            ("b", ("a", "b")),
+            ("b", ("a", "c")),
+            ("c", ("a", "b")),
+            ("a", ("a", "a")),
+            ("b", ("a", "a")),
+        ],
+    )
+    LABELS = frozenset({"a", "b"})
+    TREE_A = _tree("a", _leafy("a", "a", "b"), _leafy("b", "a", "b"))
+    TREE_B = _tree("b", _leafy("a", "a", "b"), _leafy("b", "a", "b"))
+
+    def _uniform(self, tree_b=None, tree_a=None):
+        return UniformCertificate(
+            problem=self.PROBLEM,
+            labels=self.LABELS,
+            depth=2,
+            trees={"a": tree_a or self.TREE_A, "b": tree_b or self.TREE_B},
+        )
+
+    def test_the_unbroken_certificates_are_valid(self):
+        assert self._uniform().validate() == []
+        assert self._uniform().to_coprime().validate() == []
+
+    def test_root_differing_from_its_key(self):
+        certificate = self._uniform(tree_a=self.TREE_B)
+        assert certificate.validate() == ["tree for label 'a' has root 'b'"]
+
+    def test_node_with_one_child_too_few(self):
+        broken = _tree("b", _leafy("a", "a", "b"), _leafy("b", "a"))
+        assert self._uniform(broken).validate() == [
+            "tree for label 'b' is not a complete 2-ary tree",
+            "configuration b : a not allowed by the problem",
+            "tree for label 'b' has a different leaf labeling",
+        ]
+
+    def test_leaves_at_two_depths(self):
+        broken = _tree("b", _leafy("a", "a", "b"), _tree("b"))
+        assert self._uniform(broken).validate() == [
+            "tree for label 'b' is not a complete 2-ary tree",
+            "tree for label 'b' has a different leaf labeling",
+        ]
+        assert not broken.is_complete(2) and self.TREE_B.is_complete(2)
+        assert (broken.depth(), broken.leaf_labels()) == (2, ("a", "b", "b"))
+
+    def test_forbidden_configuration(self):
+        broken = _tree("b", _leafy("b", "a", "b"), _leafy("b", "a", "b"))
+        assert self._uniform(broken).validate() == [
+            "configuration b : b b not allowed by the problem",
+        ]
+
+    def test_label_outside_the_certificate_labels(self):
+        broken = _tree("b", _leafy("a", "a", "b"), _leafy("c", "a", "b"))
+        assert self._uniform(broken).validate() == [
+            "tree for label 'b' uses labels outside the certificate labels",
+        ]
+
+    def test_label_outside_the_problem_alphabet(self):
+        broken = _tree("b", _leafy("a", "a", "b"), _leafy("b", "a", "z"))
+        assert self._uniform(broken).validate() == [
+            "tree for label 'b' uses labels outside the certificate labels",
+            "tree uses labels outside the problem alphabet",
+            "configuration b : a z not allowed by the problem",
+            "tree for label 'b' has a different leaf labeling",
+        ]
+        assert broken.labels_used() == frozenset({"a", "b", "z"})
+        assert broken.validate_against(self.PROBLEM) == [
+            "tree uses labels outside the problem alphabet",
+            "configuration b : a z not allowed by the problem",
+        ]
+
+    def test_different_leaf_labeling(self):
+        broken = _tree("b", _leafy("a", "b", "a"), _leafy("b", "a", "b"))
+        assert self._uniform(broken).validate() == [
+            "tree for label 'b' has a different leaf labeling",
+        ]
+
+    def test_special_label_not_at_a_leaf(self):
+        uniform = UniformCertificate(
+            problem=self.PROBLEM,
+            labels=self.LABELS,
+            depth=1,
+            trees={"a": _leafy("a", "a", "a"), "b": _leafy("b", "a", "a")},
+        )
+        assert uniform.validate() == []
+        at_leaf = ConstantCertificate(uniform, Configuration("a", ("a", "b")))
+        assert at_leaf.validate() == []
+        not_at_leaf = ConstantCertificate(uniform, Configuration("b", ("a", "b")))
+        assert not_at_leaf.validate() == [
+            "special label 'b' does not occur at a certificate leaf",
+        ]
