@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.cancellation import (
-    CANCELLED,
-    SearchInterrupted,
-    TIMEOUT,
-)
+from ..core.cancellation import CANCELLED, TIMEOUT
 
 
 class SessionError(Exception):
@@ -119,11 +115,6 @@ def from_service_error(error: Exception) -> SessionError:
     return exc_type(message, code=code)
 
 
-def from_interruption(error: SearchInterrupted) -> SessionError:
-    """Map a local :class:`SearchTimeout`/:class:`SearchCancelled`."""
-    return interruption_error(error.outcome, key=error.key)
-
-
 def interruption_error(outcome: str, key: Optional[str] = None) -> SessionError:
     """The unified exception for an interrupted search, local or remote.
 
@@ -148,7 +139,6 @@ __all__ = [
     "SessionError",
     "TransportError",
     "UnsupportedOperationError",
-    "from_interruption",
     "from_service_error",
     "interruption_error",
 ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import (
@@ -48,18 +49,24 @@ from typing import (
     Union,
 )
 
+from ..core.cancellation import SearchInterrupted
 from ..core.parser import parse_problem
 from ..core.problem import LCLError, LCLProblem
 from ..engine import batch
-from ..engine.batch import BatchStats, PendingClassification
+from ..engine.batch import OUTCOME_TIMEOUT, BatchStats, PendingClassification
 from ..engine.cache import ClassificationCache
-from ..engine.canonical import canonical_form
 from ..engine.serialization import problem_from_dict, problem_to_dict
 from ..obs import build_registry, render_prometheus
 from ..obs.trace import DISABLED_TRACER, RequestTrace, Tracer
 from ..problems.random_problems import random_problem
 from ..workers.backends import create_backend
-from ..workers.scheduler import JOB_SCHEDULED, PRIORITIES, ClassificationScheduler
+from ..workers.scheduler import (
+    JOB_CACHE_HIT,
+    JOB_SCHEDULED,
+    JOB_SHARED,
+    PRIORITIES,
+    ClassificationScheduler,
+)
 from .config import MODE_LOCAL, MODE_TCP, SessionConfig, parse_endpoint
 from .errors import (
     InternalError,
@@ -231,6 +238,75 @@ def open_cache(config: SessionConfig) -> ClassificationCache:
     )
 
 
+class WarmSweep:
+    """The submissions of one ``warm``, and the summary they add up to.
+
+    :meth:`LocalDriver.start_warm` fills it.  ``pendings`` holds every
+    submission in workload order; ``entries`` holds one per distinct key,
+    the key's first submission, whose job kind (``hit``/``shared``/
+    ``scheduled``) the summary counts.  A submission without a key (a
+    problem reached after the budget was spent, or one interrupted while
+    being canonicalized) is an entry of its own: one key, one interruption.
+    """
+
+    def __init__(self, waited: bool, budget: Optional[float]) -> None:
+        self.waited = waited
+        self.budget = budget
+        self.budget_ends = time.monotonic() + budget if budget is not None else None
+        self.pendings: List[PendingClassification] = []
+        self.entries: List[PendingClassification] = []
+        self._keys: set = set()
+
+    def add(self, pending: PendingClassification) -> None:
+        self.pendings.append(pending)
+        if pending.job is None:
+            self.entries.append(pending)
+        elif pending.job.key not in self._keys:
+            self._keys.add(pending.job.key)
+            self.entries.append(pending)
+
+    def summary(self) -> Dict[str, Any]:
+        """The warm summary; when the sweep waits, block until each entry settles.
+
+        A waited entry is completed, ``interrupted`` (its search raised
+        :class:`SearchInterrupted`, or it has no key) or ``failed``, so
+        ``within_budget + interrupted + failed == unique_keys``.
+        """
+        kinds = Counter(
+            entry.job.kind for entry in self.entries if entry.job is not None
+        )
+        summary: Dict[str, Any] = {
+            "unique_keys": len(self.entries),
+            "already_cached": kinds[JOB_CACHE_HIT],
+            "shared": kinds[JOB_SHARED],
+            "scheduled": kinds[JOB_SCHEDULED],
+            "waited": self.waited,
+        }
+        if self.budget is not None:
+            summary["budget_seconds"] = self.budget
+        if self.waited:
+            verdicts = Counter(_warm_verdict(entry) for entry in self.entries)
+            summary["failed"] = verdicts["failed"]
+            summary["interrupted"] = verdicts["interrupted"]
+            if self.budget is not None:
+                summary["within_budget"] = verdicts["completed"]
+                summary["budget_exhausted"] = (
+                    verdicts["interrupted"] > 0
+                    and time.monotonic() >= self.budget_ends
+                )
+        summary["count"] = len(self.pendings)
+        return summary
+
+
+def _warm_verdict(entry: PendingClassification) -> str:
+    if entry.job is None:
+        return "interrupted"
+    error = entry.job.future.exception()
+    if error is None:
+        return "completed"
+    return "interrupted" if isinstance(error, SearchInterrupted) else "failed"
+
+
 def _failed(trace: Optional[RequestTrace], error: Exception) -> SessionError:
     """Close ``trace`` as an error; return ``error`` as a :class:`SessionError`."""
     if trace is not None:
@@ -380,6 +456,39 @@ class LocalDriver:
             )
         return (self.resolve(pending, trace) for pending, trace in submissions)
 
+    def start_warm(
+        self,
+        problems: Sequence[LCLProblem],
+        census: Optional[Mapping[str, Any]],
+        wait: bool,
+        priority: str,
+        deadline: Optional[float],
+        budget: Optional[float],
+    ) -> WarmSweep:
+        """Submit a warm's workload through :meth:`submit_item`; return the sweep.
+
+        Each problem's deadline is ``deadline`` capped at what is left of
+        ``budget``, so the budget bounds canonicalization and search alike;
+        problems reached after it is spent are not submitted.  A budget
+        implies waiting.
+        """
+        sweep = WarmSweep(wait or budget is not None, budget)
+        workload = list(problems)
+        if census is not None:
+            workload.extend(census_problems(census)[0])
+        for problem in workload:
+            item_deadline = deadline
+            if sweep.budget_ends is not None:
+                left = sweep.budget_ends - time.monotonic()
+                item_deadline = left if deadline is None else min(deadline, left)
+            if item_deadline is not None and item_deadline <= 0:
+                # The budget is spent: the problem is not submitted.
+                pending = PendingClassification(problem, None, None, OUTCOME_TIMEOUT)
+            else:
+                pending = self.submit_item(problem, priority, item_deadline)
+            sweep.add(pending)
+        return sweep
+
     def warm(
         self,
         problems: Sequence[LCLProblem],
@@ -389,16 +498,8 @@ class LocalDriver:
         deadline: Optional[float],
         budget: Optional[float],
     ) -> Dict[str, Any]:
-        workload = list(problems)
-        if census is not None:
-            census_list, _echo = census_problems(census)
-            workload.extend(census_list)
-        forms = [canonical_form(problem) for problem in workload]
-        summary = self.scheduler.warm(
-            forms, wait=wait, priority=priority, deadline=deadline, budget=budget
-        )
-        summary["count"] = len(workload)
-        return summary
+        sweep = self.start_warm(problems, census, wait, priority, deadline, budget)
+        return sweep.summary()
 
     def stats(self) -> Dict[str, Any]:
         payload = {
@@ -880,12 +981,14 @@ class ClassificationSession:
         """Pre-populate the engine's cache ahead of a batch or census.
 
         Name the workload as a non-empty list of problems, a census
-        parameter object, or both.  ``deadline`` bounds each key's search;
-        ``budget`` is a *wall-clock* budget in seconds spread best-effort
-        across the whole sweep — when it expires, unfinished searches are
-        cancelled and the summary reports ``within_budget``/``interrupted``
-        so a census can be warmed with "spend at most N seconds" semantics
-        (implies waiting).
+        parameter object, or both.  Every problem is one submission, like a
+        :meth:`classify_many` item.  ``deadline`` bounds each problem's
+        canonicalization and search; ``budget`` is a *wall-clock* budget in
+        seconds for the whole sweep, applied as each submission's deadline
+        (the smaller of ``deadline`` and the budget left), and problems
+        reached after it is spent are not submitted.  The summary then
+        reports ``within_budget``/``interrupted``, so a census can be warmed
+        with "spend at most N seconds" semantics (implies waiting).
         """
         priority, deadline = self._scheduling(priority, deadline, "warm")
         if budget is not None and budget < 0:

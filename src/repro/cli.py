@@ -54,8 +54,8 @@ exponential in the worst case, every classification command accepts
 ``--deadline SECONDS`` (per-problem budget covering canonicalization and
 search; blown budgets report outcome ``timeout`` — exit code 124 for
 ``classify``) and ``--priority {interactive,batch,warm}``.  ``warm``
-additionally accepts ``--budget SECONDS``, a wall-clock budget spread
-best-effort across the whole sweep.
+additionally accepts ``--budget SECONDS``, a wall-clock budget for the whole
+sweep, applied as each problem's deadline.
 
 ``loadgen`` replays a seeded synthetic workload (Zipf-skewed duplicate-heavy
 keys, Poisson/burst arrivals, mixed priorities — see :mod:`repro.loadgen`)
@@ -946,8 +946,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock budget spread best-effort across the whole sweep; "
-            "unfinished searches are cancelled when it expires (implies waiting)"
+            "wall-clock budget for the whole sweep, applied as each problem's "
+            "deadline: unfinished keys time out when it expires (implies waiting)"
         ),
     )
     _add_engine_flags(warm_parser)

@@ -151,7 +151,7 @@ def _target_id(request: Request) -> Any:
 
 
 class _ActiveRequest:
-    """One in-flight streaming/classify request, addressable by ``cancel``.
+    """One in-flight classify, streaming or warm request, addressable by ``cancel``.
 
     ``pendings`` collects the scheduler submissions made for the request;
     ``cancel_requested`` tells a streaming handler to stop submitting further
@@ -217,8 +217,7 @@ class ClassificationService:
                 flush_interval=DEFAULT_CACHE_FLUSH_INTERVAL,
                 flush_max_dirty=DEFAULT_CACHE_FLUSH_MAX_DIRTY,
             )
-        # Spawn pool workers now, and detect a process pool degrading to
-        # inline execution before the first `warm` reads `synchronous`.
+        # Spawn pool workers now, so the first request does not pay for it.
         self.driver.scheduler.backend.probe()
         # In-flight requests addressable by `cancel`, keyed by request id.
         # Ids are client-chosen, so several connections may reuse one id;
@@ -255,22 +254,33 @@ class ClassificationService:
         active.track(pending)
         return pending
 
-    async def _resolve(
-        self, pending: PendingClassification, trace: Optional[RequestTrace]
-    ) -> Outcome:
-        """Await ``pending``'s scheduler future on the loop; collect it.
+    @staticmethod
+    async def _settle(*pendings: PendingClassification) -> None:
+        """Await the scheduler futures of ``pendings`` on the loop.
 
         No thread waits on a search, so slow requests cannot take the
         executor threads every other connection's submissions hop through.
         """
-        if not pending.done:
-            settled = asyncio.wrap_future(pending.job.future)
-            # `resolve` reports a failed search, so mark the copy's error
-            # retrieved, even when this handler is cancelled before then.
-            settled.add_done_callback(asyncio.Future.exception)
+        waiting = []
+        for pending in pendings:
+            if not pending.done:
+                settled = asyncio.wrap_future(pending.job.future)
+                # The caller reads a failed search's error from the job, so
+                # mark the copy's error retrieved, even when this handler is
+                # cancelled before then.
+                settled.add_done_callback(asyncio.Future.exception)
+                waiting.append(settled)
+        if waiting:
             # `wait` rather than `await`: a cancelled handler must not
-            # cancel the scheduler's future underneath it.
-            await asyncio.wait((settled,))
+            # cancel the scheduler's futures underneath it.
+            await asyncio.wait(waiting)
+
+    async def _resolve(
+        self, pending: PendingClassification, trace: Optional[RequestTrace]
+    ) -> Outcome:
+        """Await ``pending``'s scheduler future on the loop; collect it."""
+        if not pending.done:
+            await self._settle(pending)
         return self.driver.resolve(pending, trace)
 
     @contextlib.contextmanager
@@ -395,14 +405,15 @@ class ClassificationService:
         """Pre-populate the cache with a future batch/census's canonical keys.
 
         ``params.problems`` (a list of problem specs) and/or ``params.census``
-        (the census parameter object) name the workload; every distinct
-        uncached canonical key is scheduled on the worker backend.  With
-        ``params.wait=true`` the response is sent after the searches finish;
-        otherwise it returns immediately and the cache fills (and persists)
-        in the background.  ``params.budget_ms`` is a wall-clock budget
-        spread best-effort across the whole sweep: when it expires, this
-        warm's unfinished searches are cancelled and the summary reports
-        ``within_budget`` — a budget implies waiting.
+        (the census parameter object) name the workload.  One executor hop
+        runs :meth:`LocalDriver.start_warm`, which submits every problem
+        like a batch item.  With ``params.wait=true`` the scheduler futures
+        are then awaited on the loop and the response is sent once they
+        settle; otherwise it returns immediately and the cache fills (and
+        persists) in the background.  ``params.budget_ms`` is a wall-clock
+        budget for the whole sweep, applied as each submission's deadline
+        (it implies waiting).  The submissions are tracked, so ``cancel``
+        reaches a waiting warm by its request id.
         """
         params = request.params
         specs = params.get("problems")
@@ -422,14 +433,18 @@ class ClassificationService:
         if census is not None and not isinstance(census, dict):
             raise RequestError("warm params.census must be an object")
         wait = bool(params.get("wait", False))
-        loop = asyncio.get_running_loop()
-        summary = await loop.run_in_executor(
-            None,
-            lambda: self.driver.warm(
-                problems, census, wait, priority, deadline, budget
-            ),
-        )
-        await send(result_frame(request.id, summary))
+        with self._track_active(request) as active:
+            sweep = await asyncio.get_running_loop().run_in_executor(
+                None,
+                lambda: self.driver.start_warm(
+                    problems, census, wait, priority, deadline, budget
+                ),
+            )
+            for pending in sweep.pendings:
+                active.track(pending)
+            if sweep.waited:
+                await self._settle(*sweep.entries)
+        await send(result_frame(request.id, sweep.summary()))
 
     async def _handle_cancel(self, request: Request, send: _SendFrame) -> None:
         """Cancel an in-flight request by its id (from another connection).
@@ -597,11 +612,16 @@ class ClassificationService:
         try:
             await self._shutdown_event.wait()
         finally:
-            # Close lingering connections *before* waiting on the server:
-            # idle handlers sit in readline() and only finish once their
-            # transport closes underneath them.  Then give the handler tasks
-            # a moment to observe EOF and unwind, so loop teardown does not
-            # cancel them mid-read (which logs spurious tracebacks).
+            # Cancel the requests in flight first, so their handlers finish
+            # instead of awaiting searches that `driver.close()` would wait
+            # for.  Then close lingering connections *before* waiting on the
+            # server: idle handlers sit in readline() and only finish once
+            # their transport closes underneath them.  Then give the handler
+            # tasks a moment to observe EOF and unwind, so loop teardown
+            # does not cancel them mid-read (which logs spurious tracebacks).
+            for entries in list(self._active_requests.values()):
+                for active in entries:
+                    active.cancel()
             for writer in list(self._writers):
                 writer.close()
             if self._connection_tasks:

@@ -148,24 +148,12 @@ class WorkerBackend:
         """
         return TaskHandle(self.submit(fn, *args))
 
-    @property
-    def synchronous(self) -> bool:
-        """True when ``submit`` executes the task before returning.
-
-        :meth:`ClassificationScheduler.warm
-        <repro.workers.scheduler.ClassificationScheduler.warm>` reads it: on a
-        synchronous backend each search runs inside its submission, so a
-        warm budget must bound every search instead of the wait after them.
-        """
-        return False
-
     def probe(self) -> None:
         """Eagerly verify the backend can actually execute work.
 
         Pool backends that initialize lazily (``processes``) spawn their
-        workers here, so the first request does not pay the spawn and
-        :attr:`synchronous` reflects reality *before* the first real task
-        instead of after it.  A no-op for backends with nothing to spawn.
+        workers here, so the first request does not pay the spawn.  A no-op
+        for backends with nothing to spawn.
         """
 
     def close(self) -> None:
@@ -192,10 +180,6 @@ class InlineBackend(WorkerBackend):
 
     def __init__(self, workers: int = 1) -> None:
         super().__init__(workers=1)
-
-    @property
-    def synchronous(self) -> bool:
-        return True
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         future: "Future[Any]" = Future()
@@ -323,11 +307,6 @@ class ProcessBackend(WorkerBackend):
         self._closed = False
         self.degraded = False
 
-    @property
-    def synchronous(self) -> bool:
-        # A degraded pool executes submissions inline in the caller.
-        return self.degraded
-
     def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
         with self._executor_lock:
             if self._closed:
@@ -345,9 +324,9 @@ class ProcessBackend(WorkerBackend):
     def probe(self) -> None:
         """Spawn the pool and run one trivial task through it.
 
-        After this returns, :attr:`degraded` (and therefore
-        :attr:`synchronous`) is accurate — the service probes at startup so
-        a ``warm`` budget is applied the way its searches will really run.
+        After this returns the workers are up and :attr:`degraded` is
+        accurate; the service probes at startup, so its first request does
+        not pay the spawn.
         """
         self.submit(int).result(timeout=300)
 

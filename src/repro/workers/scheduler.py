@@ -53,10 +53,11 @@ in-flight table (store-then-retire, so a racing submit always observes
 either the in-flight entry or the cache entry, never neither) → every
 waiter's future resolves.
 
-:meth:`ClassificationScheduler.warm` is the cache-warming entry point: given
-the canonical forms of an upcoming batch/census it schedules every missing
-representative ahead of time (at ``warm`` priority by default), returning
-immediately (or after completion with ``wait=True``).
+:meth:`ClassificationScheduler.submit` takes every submission, cache warming
+included: ``LocalDriver.start_warm`` (:mod:`repro.api.session`) sends each
+problem of an upcoming batch or census through
+:func:`repro.engine.batch.submit` at ``warm`` priority, with what is left of
+a warm budget as each submission's deadline.
 """
 
 from __future__ import annotations
@@ -66,10 +67,9 @@ import itertools
 import threading
 import time
 from concurrent.futures import CancelledError, Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.cancellation import (
     CANCELLED,
@@ -767,105 +767,6 @@ class ClassificationScheduler:
         if flight is None:
             return False
         return self._cancel_flight(flight, reason)
-
-    # ------------------------------------------------------------------
-    # Cache warming
-    # ------------------------------------------------------------------
-    def warm(
-        self,
-        forms: Iterable[CanonicalForm],
-        wait: bool = False,
-        priority: str = "warm",
-        deadline: Optional[float] = None,
-        budget: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Pre-schedule every distinct uncached form; report what happened.
-
-        Warming runs at ``warm`` priority by default so it never delays
-        interactive or batch work.  With ``wait=True`` the call blocks until
-        every scheduled search has completed (errors are swallowed into the
-        ``failed`` count, interrupted searches into ``interrupted`` — warming
-        is best-effort); otherwise it returns immediately while the backend
-        fills the cache in the background.
-
-        ``budget`` makes the sweep *deadline-aware as a whole*: a wall-clock
-        budget in seconds spread best-effort across every scheduled search
-        (as opposed to ``deadline``, which bounds each key individually).
-        When the budget expires, this caller's remaining warm submissions are
-        cancelled — completed keys stay cached, a search another client is
-        also waiting on keeps running for them, and the summary reports
-        ``within_budget``/``interrupted`` so operators see exactly how far
-        the budget got.  A budget implies waiting (the sweep must be observed
-        to know when to stop it).  A synchronous backend runs each search
-        inside :meth:`submit`, so there every search gets at most the budget
-        left as its deadline, and keys reached after the budget is spent are
-        not submitted at all (they count as ``interrupted``).
-        """
-        unique: Dict[str, CanonicalForm] = {}
-        for form in forms:
-            unique.setdefault(form.key, form)
-        budget_ends = (
-            time.monotonic() + budget if budget is not None else None
-        )
-        bound_each = budget_ends is not None and self.backend.synchronous
-        jobs: List[ClassificationJob] = []
-        for form in unique.values():
-            job_deadline = deadline
-            if bound_each:
-                left = budget_ends - time.monotonic()
-                if left <= 0:
-                    break
-                job_deadline = left if deadline is None else min(deadline, left)
-            jobs.append(self.submit(form, priority=priority, deadline=job_deadline))
-        cut_off = len(unique) - len(jobs)
-        summary = {
-            "unique_keys": len(unique),
-            "already_cached": sum(1 for job in jobs if job.kind == JOB_CACHE_HIT),
-            "shared": sum(1 for job in jobs if job.kind == JOB_SHARED),
-            "scheduled": sum(1 for job in jobs if job.kind == JOB_SCHEDULED),
-            "waited": bool(wait or budget is not None),
-        }
-        if budget is not None:
-            summary["budget_seconds"] = budget
-        if not summary["waited"]:
-            return summary
-        failed = 0
-        interrupted = cut_off
-        completed = 0
-        budget_exhausted = bound_each and time.monotonic() >= budget_ends
-        for job in jobs:
-            remaining: Optional[float] = None
-            if budget_ends is not None:
-                remaining = max(0.0, budget_ends - time.monotonic())
-            try:
-                job.result(timeout=remaining)
-                completed += 1
-                continue
-            except SearchInterrupted:
-                interrupted += 1
-                continue
-            except FuturesTimeoutError:
-                # The budget ran out while this search was still going:
-                # detach (cancelling the search when we were its only
-                # waiter) and fall through to collect the verdict below.
-                budget_exhausted = True
-                job.cancel()
-            except Exception:  # noqa: BLE001 - warming is best-effort
-                failed += 1
-                continue
-            try:
-                job.result(timeout=5.0)
-                completed += 1  # finished in the cancel window: still counts
-            except SearchInterrupted:
-                interrupted += 1
-            except Exception:  # noqa: BLE001
-                failed += 1
-        summary["failed"] = failed
-        summary["interrupted"] = interrupted
-        if budget is not None:
-            summary["within_budget"] = completed
-            summary["budget_exhausted"] = budget_exhausted
-        return summary
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until no work is queued, running, **or lingering**.

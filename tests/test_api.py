@@ -34,6 +34,14 @@ from repro.workers.metrics import BUCKET_BOUNDS_MS
 
 TWO_COLORING = "1 : 2 2\n2 : 1 1"
 
+# A 17-label circulant (δ = 2) whose canonicalization takes ~0.25 s on a
+# 2-CPU host with Python 3.11: far beyond a 0.02 s budget.
+CIRCULANT_17 = "\n".join(
+    f"{chr(65 + i)} : {chr(65 + (i + a) % 17)} {chr(65 + (i + b) % 17)}"
+    for a, b in ((8, 14), (4, 9), (5, 6))
+    for i in range(17)
+)
+
 
 # ----------------------------------------------------------------------
 # Endpoint / config parsing
@@ -472,6 +480,34 @@ class TestWarmBudget:
         assert summary["interrupted"] == 1
         assert follow_up["within_budget"] == follow_up["unique_keys"]
 
+    @pytest.mark.parametrize(
+        "endpoint", ["local://inline", "local://threads?workers=2"]
+    )
+    def test_budget_and_deadline_bound_canonicalization(self, endpoint):
+        """Canonicalizing the circulant outlasts 0.02 s, so neither warm
+        reaches the scheduler."""
+        with connect(endpoint) as session:
+            budgeted = session.warm(problems=[CIRCULANT_17], budget=0.02)
+            deadlined = session.warm(
+                problems=[CIRCULANT_17], wait=True, deadline=0.02
+            )
+        for summary in (budgeted, deadlined):
+            assert summary["scheduled"] == 0
+            assert summary["interrupted"] == 1
+
+    def test_budget_stops_searches_on_processes(self):
+        """A budgeted search runs on its own killable process, so it stops at
+        the budget instead of occupying a pool worker afterwards."""
+        with connect("local://processes?workers=2") as session:
+            summary = session.warm(
+                problems=[hard_problem(12), hard_problem(13)], budget=0.5
+            )
+            if session.stats()["workers"]["degraded"]:  # pragma: no cover
+                pytest.skip("process pool unavailable in this environment")
+            outcome = session.submit(TWO_COLORING).result(timeout=5)
+        assert summary["budget_exhausted"] is True
+        assert outcome.ok
+
     def test_interrupted_warm_does_not_poison_the_cache(self):
         with connect("local://threads?workers=2") as session:
             session.warm(problems=[hard_problem(12)], budget=0.3)
@@ -532,14 +568,14 @@ class TestRemoteSubmit:
         assert info.value.code == "connection-closed"
 
     def test_error_mapping_helpers(self):
-        from repro.api.errors import from_interruption, from_service_error
+        from repro.api.errors import from_service_error, interruption_error
         from repro.core.cancellation import SearchCancelled, SearchTimeout
         from repro.service.client import ServiceError
 
-        timeout = from_interruption(SearchTimeout(key="k"))
+        timeout = interruption_error(SearchTimeout.outcome, key="k")
         assert isinstance(timeout, ClassificationTimeout)
         assert str(timeout) == "timeout: search for k exceeded its deadline"
-        cancelled = from_interruption(SearchCancelled(key=None))
+        cancelled = interruption_error(SearchCancelled.outcome, key=None)
         assert isinstance(cancelled, ClassificationCancelled)
 
         mapped = from_service_error(ServiceError("bad-request", "nope"))

@@ -458,11 +458,20 @@ class TestWarm:
 EASY = "1 : 2 2\n2 : 1 1"
 
 
+def _slow_outcome(frame):
+    """An item's or result's outcome; a warm reads ``timeout`` when its one
+    key was interrupted."""
+    data = frame["data"]
+    if "interrupted" in data:
+        return "timeout" if data["interrupted"] == 1 else "ok"
+    return data["outcome"]
+
+
 class TestLiveness:
     # More than the default executor's min(32, cpus + 4) threads on any host.
     SLOW_REQUESTS = 33
 
-    @pytest.mark.parametrize("op", ["classify", "classify_batch"])
+    @pytest.mark.parametrize("op", ["classify", "classify_batch", "warm"])
     def test_cache_hit_answers_while_slow_requests_wait(self, op, caplog):
         """A warm hit answers at once while more slow requests wait on one
         search than the service has executor threads."""
@@ -470,8 +479,10 @@ class TestLiveness:
         params = {"deadline_ms": 4000}
         if op == "classify":
             params["problem"] = hard
-        else:
+        elif op == "classify_batch":
             params["problems"] = [hard]
+        else:
+            params.update(problems=[hard], wait=True)
         with ThreadedService(backend="threads", workers=1) as address:
             with contextlib.ExitStack() as connections:
                 client, *slow = [
@@ -492,7 +503,7 @@ class TestLiveness:
                 hit = client.request("classify", {"problem": EASY})
                 elapsed = time.monotonic() - start
                 outcomes = [
-                    frame["data"]["outcome"]
+                    _slow_outcome(frame)
                     for each, request_id in zip(slow, request_ids)
                     for frame in each.frames(request_id)
                     if frame["type"] in ("item", "result")
@@ -502,6 +513,21 @@ class TestLiveness:
         assert outcomes == ["timeout"] * self.SLOW_REQUESTS
         gc.collect()
         assert "Future exception was never retrieved" not in caplog.text
+
+    def test_stop_cancels_requests_in_flight(self, caplog):
+        """Shutdown cancels a request still waiting on its search instead
+        of waiting for it, and loop teardown logs no traceback."""
+        hard = problem_to_dict(hard_problem(12))
+        service = ThreadedService(backend="threads", workers=1)
+        address = service.start()
+        with ServiceClient.connect_tcp(*address) as client:
+            client.send("classify", {"problem": hard, "deadline_ms": 7000})
+            time.sleep(0.5)
+            start = time.monotonic()
+            service.stop()
+            elapsed = time.monotonic() - start
+        assert elapsed < 2.0, f"stop took {elapsed:.3f}s"
+        assert "Exception in callback" not in caplog.text
 
 
 class TestInlineBackend:

@@ -126,15 +126,6 @@ class TestBackends:
         with pytest.raises(RuntimeError, match="closed"):
             backend.submit(_square, 2)
 
-    def test_synchronous_flag_marks_inline_execution(self):
-        assert InlineBackend().synchronous is True
-        thread_backend = ThreadBackend(workers=1)
-        assert thread_backend.synchronous is False
-        thread_backend.close()
-        process_backend = ProcessBackend(workers=1)
-        assert process_backend.synchronous is False  # flips only on degrade
-        process_backend.close()
-
     def test_describe_reports_configuration(self):
         backend = ThreadBackend(workers=2)
         assert backend.describe() == {"backend": "threads", "workers": 2}
@@ -248,26 +239,29 @@ class TestSingleFlight:
         assert job.result()["complexity"] == "CONSTANT"
 
     def test_warm_schedules_only_missing_orbits(self):
-        forms = [_form(seed=1), _form(seed=3), _form(seed=3)]  # one duplicate
-        scheduler = ClassificationScheduler()  # inline backend, real searches
-        first = scheduler.warm([forms[0]], wait=True)
-        assert first == {
-            "unique_keys": 1,
-            "already_cached": 0,
-            "shared": 0,
-            "scheduled": 1,
-            "waited": True,
-            "failed": 0,
-            "interrupted": 0,
-        }
-        second = scheduler.warm(forms, wait=True)
-        assert second["unique_keys"] == len({form.key for form in forms})
-        assert second["already_cached"] == 1
-        assert second["scheduled"] == second["unique_keys"] - 1
-        # Everything is cached now: a third warm is a pure no-op.
-        third = scheduler.warm(forms, wait=True)
-        assert third["scheduled"] == 0
-        assert third["already_cached"] == third["unique_keys"]
+        # One duplicate; the inline backend runs real searches.
+        problems = [random_problem(2, density=0.5, seed=seed) for seed in (1, 3, 3)]
+        with connect("local://inline") as session:
+            first = session.warm(problems=problems[:1], wait=True)
+            assert first == {
+                "unique_keys": 1,
+                "already_cached": 0,
+                "shared": 0,
+                "scheduled": 1,
+                "waited": True,
+                "failed": 0,
+                "interrupted": 0,
+                "count": 1,
+            }
+            second = session.warm(problems=problems, wait=True)
+            keys = {canonical_form(problem).key for problem in problems}
+            assert second["unique_keys"] == len(keys)
+            assert second["already_cached"] == 1
+            assert second["scheduled"] == second["unique_keys"] - 1
+            # Everything is cached now: a third warm is a pure no-op.
+            third = session.warm(problems=problems, wait=True)
+            assert third["scheduled"] == 0
+            assert third["already_cached"] == third["unique_keys"]
 
     def test_wait_idle(self):
         release = threading.Event()
