@@ -113,7 +113,7 @@ class SessionConfig:
         Whether the observability layer (request ids, the metrics registry,
         the env-gated tracer) is wired up at all.  ``obs=False`` (``?obs=0``)
         bypasses it completely — the baseline configuration the
-        ``BENCH_obs.json`` overhead gate compares against.  Note tracing
+        ``obs`` overhead gate of ``benchmarks/bench_gates.py`` compares against.  Note tracing
         itself is additionally opt-in via ``REPRO_TRACE`` even when ``True``.
     """
 

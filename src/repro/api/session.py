@@ -853,10 +853,6 @@ class ClassificationSession:
         """The canonical URL of this session's configuration."""
         return self.config.endpoint()
 
-    @property
-    def is_local(self) -> bool:
-        return self.config.mode == MODE_LOCAL
-
     def _scheduling(
         self, priority: Optional[str], deadline: Optional[float], op_default: str
     ) -> Tuple[str, Optional[float]]:

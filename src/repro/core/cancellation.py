@@ -82,7 +82,7 @@ class CancelToken:
         with a ``multiprocessing.Event`` for cross-process tokens).
     """
 
-    __slots__ = ("deadline", "_flag", "reason", "checkpoints", "started_at")
+    __slots__ = ("deadline", "_flag", "reason", "checkpoints")
 
     def __init__(self, deadline: Optional[float] = None, flag: Any = None) -> None:
         self.deadline = deadline
@@ -91,13 +91,8 @@ class CancelToken:
         # Observability piggyback: the searches already poll this token at
         # every checkpoint, so counting polls here gives the tracing layer a
         # progress signal with **zero** new kernel plumbing.  `checkpoints`
-        # is bumped by the search thread only (exact per token, no lock);
-        # `started_at` is stamped by the worker backend when the search
-        # actually begins running (None until then, and it stays None inside
-        # a process backend's child — the parent token never sees the
-        # child's copy back).
+        # is bumped by the search thread only (exact per token, no lock).
         self.checkpoints = 0
-        self.started_at: Optional[float] = None
 
     @classmethod
     def with_budget(cls, seconds: Optional[float]) -> "CancelToken":

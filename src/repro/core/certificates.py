@@ -81,19 +81,6 @@ class CertificateTree:
             for child in self.children:
                 yield from child.iter_internal_configurations()
 
-    def nodes_at_depth(self, depth: int) -> List["CertificateTree"]:
-        """All nodes at the given depth (left-to-right)."""
-        if depth == 0:
-            return [self]
-        result: List[CertificateTree] = []
-        for child in self.children:
-            result.extend(child.nodes_at_depth(depth - 1))
-        return result
-
-    def labels_at_depth(self, depth: int) -> Tuple[Label, ...]:
-        """Labels of the nodes at the given depth (left-to-right)."""
-        return tuple(node.label for node in self.nodes_at_depth(depth))
-
     def validate_against(self, problem: LCLProblem) -> List[str]:
         """Check that every internal node uses an allowed configuration."""
         return _walk(self, _allowed_nodes(problem)).problem_issues(problem)
@@ -180,10 +167,6 @@ class UniformCertificate:
     labels: FrozenSet[Label]
     depth: int
     trees: Mapping[Label, CertificateTree]
-
-    def tree_for(self, root_label: Label) -> CertificateTree:
-        """The certificate tree whose root carries ``root_label``."""
-        return self.trees[root_label]
 
     def leaf_labels(self) -> Tuple[Label, ...]:
         """The (shared) leaf labeling of the certificate trees."""
@@ -390,17 +373,6 @@ class _TemplateNode:
             return 0
         return 1 + max(child.depth() for child in self.children)
 
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
-    def leaves_with_depth(self, depth: int = 0) -> List[Tuple["_TemplateNode", int]]:
-        if not self.children:
-            return [(self, depth)]
-        result: List[Tuple[_TemplateNode, int]] = []
-        for child in self.children:
-            result.extend(child.leaves_with_depth(depth + 1))
-        return result
-
 
 def _special_trace(builder: CertificateBuilder) -> List[int]:
     """The child-index path from the builder root to the designated special leaf.
@@ -589,27 +561,32 @@ def _graft_special_path(
 
 def _balance_leaves(
     template: _TemplateNode, problem: LCLProblem, allowed: FrozenSet[Label]
-) -> None:
-    """Third phase of Lemma 6.9: extend shallow leaves until all share the maximum depth."""
+) -> int:
+    """Third phase of Lemma 6.9: extend shallow leaves until all share the maximum depth.
+
+    One pre-order walk gives every leaf above that depth its continuation's
+    children and walks on into them.  Returns the depth.
+    """
     target = template.depth()
-    changed = True
-    while changed:
-        changed = False
-        for leaf, depth in template.leaves_with_depth():
-            if depth >= target:
-                continue
-            label = next(iter(leaf.label_set))
+    nodes = 0
+    stack: List[Tuple[_TemplateNode, int]] = [(template, 0)]
+    while stack:
+        node, depth = stack.pop()
+        nodes += 1
+        if nodes > _MAX_CERTIFICATE_NODES:
+            raise CertificateError("certificate grew beyond the size safety cap while balancing")
+        if not node.children and depth < target:
+            label = next(iter(node.label_set))
             continuation = problem.continuation_of(label, allowed)
             if continuation is None:
                 raise CertificateError(
                     f"label {label!r} has no continuation below within the certificate labels"
                 )
-            leaf.children = [
+            node.children = [
                 _TemplateNode(frozenset({child})) for child in continuation.children
             ]
-            changed = True
-        if template.size() > _MAX_CERTIFICATE_NODES:
-            raise CertificateError("certificate grew beyond the size safety cap while balancing")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return target
 
 
 def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate:
@@ -648,9 +625,7 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
                 raise CertificateError("push-down phase did not converge")
 
     # Phase 3: balance all leaves to the same depth.
-    _balance_leaves(template, problem, labels)
-
-    depth = template.depth()
+    depth = _balance_leaves(template, problem, labels)
     trees: Dict[Label, CertificateTree] = {}
     for label in sorted(labels):
         trees[label] = _instantiate(template, label, assign)

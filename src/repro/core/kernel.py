@@ -234,10 +234,6 @@ class ProblemEncoding:
     # ------------------------------------------------------------------
     # Elementary set operations (all single mask tests)
     # ------------------------------------------------------------------
-    def config_masks(self) -> List[int]:
-        """The label mask of every configuration (sorted configuration order)."""
-        return [mask for _parent, mask, _bits in self.configs]
-
     def allowed_config_count(self, allowed: int) -> int:
         """``|C|`` of the restriction to ``allowed`` (Definition 4.3)."""
         return sum(1 for _p, mask, _b in self.configs if mask & ~allowed == 0)

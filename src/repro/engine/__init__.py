@@ -34,8 +34,6 @@ from .batch import BatchItem, BatchStats
 from .cache import CacheStats, ClassificationCache
 from .canonical import CanonicalForm, canonical_form, canonical_key
 from .serialization import (
-    artifacts_from_dict,
-    artifacts_to_dict,
     problem_from_dict,
     problem_to_dict,
     relabel_result,
@@ -54,8 +52,6 @@ __all__ = [
     "JsonFileBackend",
     "MemoryBackend",
     "SqliteWalBackend",
-    "artifacts_from_dict",
-    "artifacts_to_dict",
     "canonical_form",
     "canonical_key",
     "create_backend",

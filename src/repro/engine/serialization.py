@@ -4,9 +4,8 @@ The batch engine needs classification results to survive two process
 boundaries: the ``processes`` worker backend of :mod:`repro.workers` and the
 on-disk cache of :class:`repro.engine.cache.ClassificationCache`.  This
 module converts the core value types
-(:class:`~repro.core.problem.LCLProblem`,
-:class:`~repro.core.complexity.ClassificationResult`,
-:class:`~repro.core.classifier.ClassificationArtifacts`) to and from plain
+(:class:`~repro.core.problem.LCLProblem` and
+:class:`~repro.core.complexity.ClassificationResult`) to and from plain
 dictionaries containing only JSON primitives.
 
 Certificate *objects* (the materialized trees of
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.classifier import ClassificationArtifacts
 from ..core.complexity import ClassificationResult, ComplexityClass
 from ..core.configuration import Configuration, Label
 from ..core.problem import LCLProblem
@@ -138,29 +136,6 @@ def result_from_dict(payload: Mapping[str, Any]) -> ClassificationResult:
             frozenset(labels) for labels in payload.get("pruning_sets", [])
         ),
         notes=tuple(payload.get("notes", [])),
-    )
-
-
-def artifacts_to_dict(artifacts: ClassificationArtifacts) -> Dict[str, Any]:
-    """Serialize classification artifacts (problem + result + timing).
-
-    The materialized certificate trees are dropped; their label sets live on
-    inside the result.
-    """
-    return {
-        "schema": SCHEMA_VERSION,
-        "problem": problem_to_dict(artifacts.problem),
-        "result": result_to_dict(artifacts.result),
-        "elapsed_seconds": artifacts.elapsed_seconds,
-    }
-
-
-def artifacts_from_dict(payload: Mapping[str, Any]) -> ClassificationArtifacts:
-    """Rebuild (certificate-free) artifacts from :func:`artifacts_to_dict` output."""
-    return ClassificationArtifacts(
-        problem=problem_from_dict(payload["problem"]),
-        result=result_from_dict(payload["result"]),
-        elapsed_seconds=payload.get("elapsed_seconds", 0.0),
     )
 
 

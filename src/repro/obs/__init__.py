@@ -6,7 +6,8 @@ Two cooperating pieces (see ``docs/observability.md``):
   propagated session → scheduler → backend → kernel, with a bounded
   in-memory ring, slow-request exemplars, and an optional JSONL event log
   switched on by ``REPRO_TRACE``.  Disabled by default; the disabled path's
-  overhead on the warm classify hot path is pinned by ``BENCH_obs.json``.
+  overhead on the warm classify hot path is pinned by the ``obs`` gate of
+  ``benchmarks/bench_gates.py``.
 * :mod:`repro.obs.metrics` — one pull-based registry unifying the cache,
   batch, scheduler, search-time and service counters (``repro.metrics/1``)
   with Prometheus text exposition, surfaced by

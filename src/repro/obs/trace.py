@@ -40,8 +40,8 @@ threshold (attached to ``stats``), and an optional JSONL event log — one
 ``repro.trace/1`` document per line — enabled with ``REPRO_TRACE=path``.
 Tracing is **disabled by default**: a disabled tracer's :meth:`Tracer.start`
 returns ``None`` and every call site guards on that, so the warm hot path
-pays one attribute read (the ``BENCH_obs.json`` gate pins the total
-disabled-path overhead under 5%).
+pays one attribute read (the ``obs`` gate of ``benchmarks/bench_gates.py``
+pins the total disabled-path overhead under 5%).
 """
 
 from __future__ import annotations

@@ -630,9 +630,13 @@ class ClassificationService:
             with contextlib.suppress(Exception):
                 await server.wait_closed()
             # Only now tear the driver down: no handler can submit work.  It
-            # waits for in-flight searches (e.g. a background warm), then
-            # persists a final full snapshot of the cache.
-            self.driver.close()
+            # drains the searches the cancel above cannot reach (a background
+            # warm; on `inline`, a search inside a request's submission) under
+            # their own deadlines, then persists a final full snapshot of the
+            # cache.  Off the loop, so those requests' handlers can unwind.
+            await asyncio.get_running_loop().run_in_executor(None, self.driver.close)
+            if self._connection_tasks:
+                await asyncio.wait(set(self._connection_tasks), timeout=5)
 
     async def _handle_tcp_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

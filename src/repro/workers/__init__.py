@@ -22,9 +22,9 @@ however many callers ask for it:
   cancels the search and releases its slot).  Expired/cancelled searches
   are recorded as ``timeouts``/``cancelled`` in the live stats and never
   stored in the shared :class:`~repro.engine.cache.ClassificationCache`.
-  Its :meth:`warm` method pre-schedules a workload's canonical keys — the
-  engine behind the service's ``warm`` operation and ``python -m repro
-  warm``.
+  A warm sweep (the service's ``warm`` operation and ``python -m repro
+  warm``) is ordinary submissions at the ``warm`` priority, made by
+  :meth:`~repro.api.session.LocalDriver.start_warm`.
 
 Every classification — a local session's and the service's alike, through
 :class:`~repro.api.session.LocalDriver` — routes its search execution

@@ -197,8 +197,6 @@ class InlineBackend(WorkerBackend):
         killable: bool = False,
     ) -> TaskHandle:
         future: "Future[Any]" = Future()
-        if token is not None:
-            token.started_at = time.monotonic()
         try:
             with cancel_scope(token):
                 future.set_result(fn(*args))
@@ -209,10 +207,6 @@ class InlineBackend(WorkerBackend):
 
 def _run_in_scope(fn: Callable[..., Any], args: Tuple[Any, ...], token: Optional[CancelToken]) -> Any:
     """Execute ``fn(*args)`` with ``token`` installed on the worker thread."""
-    if token is not None:
-        # Stamp when the task actually starts running (queue time excluded) —
-        # the tracing layer turns this into the admitted→running gap.
-        token.started_at = time.monotonic()
     with cancel_scope(token):
         return fn(*args)
 
@@ -397,7 +391,6 @@ class ProcessBackend(WorkerBackend):
             args=(sender, fn, args, token.remaining(), flag),
             daemon=True,
         )
-        token.started_at = time.monotonic()  # parent-side approximation
         process.start()
         sender.close()  # the parent only reads; EOF then means "child died"
         future: "Future[Any]" = Future()

@@ -850,13 +850,17 @@ class ClassificationScheduler:
         return payload
 
     def close(self) -> None:
-        """Shut the backend down, then stop the deadline monitor.
+        """Shut the backend down, wait until idle, then stop the deadline monitor.
 
-        The backend drains its running searches first, and the monitor keeps
-        expiring their waiters meanwhile: a search with a deadline stops at
-        that deadline instead of holding ``close()`` until it finishes.
+        The backend drains its running searches first, then :meth:`wait_idle`
+        waits out every flight still queued or running, such as a search
+        running inside another thread's submission on a synchronous backend.
+        The monitor keeps expiring their waiters meanwhile: a search with a
+        deadline stops at that deadline instead of holding ``close()`` until
+        it finishes.
         """
         self.backend.close()
+        self.wait_idle()
         self._monitor.close()
 
     def __enter__(self) -> "ClassificationScheduler":

@@ -529,6 +529,25 @@ class TestLiveness:
         assert elapsed < 2.0, f"stop took {elapsed:.3f}s"
         assert "Exception in callback" not in caplog.text
 
+    def test_inline_stop_keeps_the_search_deadline(self, caplog):
+        """On `inline` the search runs inside the request's submission, where
+        the in-flight cancel cannot reach it: shutdown waits for it to stop
+        at its deadline, and the loop thread then exits cleanly."""
+        hard = problem_to_dict(hard_problem(12))
+        service = ThreadedService(backend="inline")
+        address = service.start()
+        loop_thread = service._thread
+        with ServiceClient.connect_tcp(*address) as client:
+            # Past the 0.5 s wait plus the 5 s grace for connection handlers.
+            client.send("classify", {"problem": hard, "deadline_ms": 6000})
+            time.sleep(0.5)
+            start = time.monotonic()
+            service.stop()
+            elapsed = time.monotonic() - start
+        assert elapsed < 10.0, f"stop took {elapsed:.3f}s"
+        assert not loop_thread.is_alive()
+        assert "Exception in callback" not in caplog.text
+
 
 class TestInlineBackend:
     """On a synchronous backend each search runs inside its submission."""
