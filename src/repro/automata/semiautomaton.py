@@ -43,12 +43,10 @@ class PathAutomaton:
     def __init__(self, states: Iterable[Label], edges: Iterable[Tuple[Label, Label]]):
         self.states: FrozenSet[Label] = frozenset(states)
         self._successors: Dict[Label, Set[Label]] = {state: set() for state in self.states}
-        self._predecessors: Dict[Label, Set[Label]] = {state: set() for state in self.states}
         for source, target in edges:
             if source not in self.states or target not in self.states:
                 raise ValueError(f"transition {source}->{target} uses unknown states")
             self._successors[source].add(target)
-            self._predecessors[target].add(source)
         self._scc_cache: Optional[List[FrozenSet[Label]]] = None
         self._flexibility_cache: Dict[Label, Optional[int]] = {}
 
@@ -66,10 +64,6 @@ class PathAutomaton:
     def successors(self, state: Label) -> FrozenSet[Label]:
         """States reachable in one step from ``state``."""
         return frozenset(self._successors.get(state, ()))
-
-    def predecessors(self, state: Label) -> FrozenSet[Label]:
-        """States with a one-step transition into ``state``."""
-        return frozenset(self._predecessors.get(state, ()))
 
     def edges(self) -> FrozenSet[Tuple[Label, Label]]:
         """All transitions as ``(source, target)`` pairs."""

@@ -497,19 +497,41 @@ class _ChildAssigner:
 
 
 def _instantiate(
-    template: _TemplateNode, root_label: Label, assign: _ChildAssigner
+    template: _TemplateNode,
+    root_label: Label,
+    assign: _ChildAssigner,
+    memo: Dict[Tuple[_TemplateNode, Label], CertificateTree],
 ) -> CertificateTree:
-    """Instantiate the template with a concrete root label (final phase of Lemma 6.9)."""
+    """Instantiate the template with a concrete root label (final phase of Lemma 6.9).
+
+    The subtree under a template node depends only on that node and its
+    label, so ``memo`` maps ``(node, label)`` to the tree built for it.
+    Sharing one memo across the certificate labels lets their trees share
+    subtree objects: each is built once.  Trees are immutable and
+    :meth:`UniformCertificate.validate` still walks every node of every
+    tree, so sharing changes neither the trees nor their checks.  A memo
+    is only valid while the template does not change.
+    """
 
     def build(node: _TemplateNode, label: Label) -> CertificateTree:
-        if node.is_leaf():
-            return CertificateTree(label)
-        assignment = assign(label, tuple([child.label_set for child in node.children]))
-        children = tuple(
-            build(child, child_label)
-            for child, child_label in zip(node.children, assignment)
-        )
-        return CertificateTree(label, children)
+        key = (node, label)
+        tree = memo.get(key)
+        if tree is None:
+            if node.children:
+                assignment = assign(
+                    label, tuple([child.label_set for child in node.children])
+                )
+                tree = CertificateTree(
+                    label,
+                    tuple(
+                        build(child, child_label)
+                        for child, child_label in zip(node.children, assignment)
+                    ),
+                )
+            else:
+                tree = CertificateTree(label)
+            memo[key] = tree
+        return tree
 
     if root_label not in template.label_set:
         raise CertificateError(f"root label {root_label!r} not in the template root set")
@@ -528,7 +550,8 @@ def _graft_special_path(
     path from the root down to the special leaf of that instance is grafted below
     the current special leaf.  Returns the path to the new special leaf.
     """
-    instance = _instantiate(template, special_label, assign)
+    # A graft changes the template, so this instance gets a memo of its own.
+    instance = _instantiate(template, special_label, assign, {})
     # Walk the instance along the special path, collecting (node, next-index) info.
     instance_nodes: List[CertificateTree] = [instance]
     node = instance
@@ -560,14 +583,13 @@ def _graft_special_path(
 
 
 def _balance_leaves(
-    template: _TemplateNode, problem: LCLProblem, allowed: FrozenSet[Label]
-) -> int:
-    """Third phase of Lemma 6.9: extend shallow leaves until all share the maximum depth.
+    template: _TemplateNode, problem: LCLProblem, allowed: FrozenSet[Label], target: int
+) -> None:
+    """Third phase of Lemma 6.9: extend shallow leaves until all reach depth ``target``.
 
-    One pre-order walk gives every leaf above that depth its continuation's
-    children and walks on into them.  Returns the depth.
+    ``target`` is the template's depth.  One pre-order walk gives every
+    leaf above it its continuation's children and walks on into them.
     """
-    target = template.depth()
     nodes = 0
     stack: List[Tuple[_TemplateNode, int]] = [(template, 0)]
     while stack:
@@ -586,7 +608,6 @@ def _balance_leaves(
                 _TemplateNode(frozenset({child})) for child in continuation.children
             ]
         stack.extend((child, depth + 1) for child in reversed(node.children))
-    return target
 
 
 def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate:
@@ -612,23 +633,29 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
 
     template, special_path = _expand_template(builder)
     assign = _ChildAssigner(problem)
+    depth = template.depth()
 
     # Phase 2 (only with a special label): push the special leaf down until it is deepest.
     if special_path is not None and builder.special_label is not None:
         guard = 0
-        while len(special_path) < template.depth():
+        while len(special_path) < depth:
             special_path = _graft_special_path(
                 template, special_path, assign, builder.special_label
             )
+            # The graft's deepest leaf is the new special leaf; no other
+            # leaf moves.
+            depth = max(depth, len(special_path))
             guard += 1
             if guard > 64:
                 raise CertificateError("push-down phase did not converge")
 
-    # Phase 3: balance all leaves to the same depth.
-    depth = _balance_leaves(template, problem, labels)
+    # Phase 3: balance all leaves to the same depth, then build every tree
+    # through one memo, so subtrees the trees have in common are built once.
+    _balance_leaves(template, problem, labels, depth)
+    memo: Dict[Tuple[_TemplateNode, Label], CertificateTree] = {}
     trees: Dict[Label, CertificateTree] = {}
     for label in sorted(labels):
-        trees[label] = _instantiate(template, label, assign)
+        trees[label] = _instantiate(template, label, assign, memo)
     return _validated(
         UniformCertificate(problem=problem, labels=labels, depth=depth, trees=trees)
     )

@@ -47,10 +47,15 @@ possible because every pruning shortcut below is order-preserving:
   cannot exist where the plain root does not.  Subsets and special
   configurations are otherwise visited in the reference order.
 
-The sweeps poll :func:`repro.core.cancellation.checkpoint` at least once per
-candidate subset and once per ``δ``-tuple, exactly like the reference loops,
-so deadlines and cancellation (PR 4) interrupt the kernel with the same
-latency bound.
+The sweeps poll :func:`repro.core.cancellation.checkpoint` once per candidate
+subset, like the reference loops.  Algorithm 3 polls once before each chunk
+of :data:`POLL_STRIDE` δ-tuples: at most that many tuples pass between two
+polls, counting every tuple the enumeration yields (the ones the ``newly``
+filter skips included), and every derivation round polls at least once.  A
+poll costs a function call, so the stride sits in the loop rather than in
+:meth:`~repro.core.cancellation.CancelToken.check`; the chunks only group
+the enumeration, whose order is unchanged.  Deadlines and cancellation
+therefore interrupt the kernel within one chunk of tuples.
 
 Memoization
 -----------
@@ -88,8 +93,8 @@ import os
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import gcd
+from itertools import combinations, combinations_with_replacement, islice
+from math import comb, gcd
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..automata.flexibility import automaton_of
@@ -103,6 +108,9 @@ BITMASK = "bitmask"
 REFERENCE = "reference"
 KERNELS = (BITMASK, REFERENCE)
 ENV_VAR = "REPRO_KERNEL"
+
+POLL_STRIDE = 64
+"""Algorithm 3 polls :func:`checkpoint` once per this many enumerated δ-tuples."""
 
 _override = threading.local()
 
@@ -514,25 +522,30 @@ def _unrestricted_search(
         # the recorded entries come out identical (see module docstring).
         # The second enumeration yields the same positions over the set
         # masks, so each tuple's memo key comes without a per-tuple loop.
-        for tuple_of_pairs, sets in zip(
+        tuples = zip(
             combinations_with_replacement(all_pairs, delta),
             combinations_with_replacement(all_sets, delta),
-        ):
+        )
+        # One poll before each chunk of POLL_STRIDE tuples.  C(n + δ − 1, δ)
+        # counts every tuple, skipped ones included, so a round that skips
+        # nearly everything still polls.
+        for _chunk in range(0, comb(len(all_pairs) + delta - 1, delta), POLL_STRIDE):
             checkpoint()
-            if newly.isdisjoint(tuple_of_pairs):
-                continue
-            roots = roots_memo.get(sets)
-            if roots is None:
-                roots = roots_memo[sets] = table.roots(groups, sets)
-            roots &= labels_mask
-            if roots:
-                flag = 0
-                for code in tuple_of_pairs:
-                    flag |= code & 1
-                code = (roots << 1) | flag
-                if code not in known and code not in added:
-                    entries[code] = tuple_of_pairs
-                    added.add(code)
+            for tuple_of_pairs, sets in islice(tuples, POLL_STRIDE):
+                if newly.isdisjoint(tuple_of_pairs):
+                    continue
+                roots = roots_memo.get(sets)
+                if roots is None:
+                    roots = roots_memo[sets] = table.roots(groups, sets)
+                roots &= labels_mask
+                if roots:
+                    flag = 0
+                    for code in tuple_of_pairs:
+                        flag |= code & 1
+                    code = (roots << 1) | flag
+                    if code not in known and code not in added:
+                        entries[code] = tuple_of_pairs
+                        added.add(code)
         known |= added
         newly = added
 

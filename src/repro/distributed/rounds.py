@@ -65,9 +65,8 @@ class MessageStats:
     """Message-size statistics for CONGEST accounting.
 
     CONGEST restricts messages to ``O(log n)`` bits per round per edge.  The
-    simulator records the largest message (in bits) sent by any node so that the
-    CONGEST feasibility of an algorithm can be checked against the bound
-    ``congest_budget_bits``.
+    simulator records the largest message (in bits) sent by any node, next to
+    the ``log2(n)`` bound ``congest_budget_bits`` of the run.
     """
 
     max_message_bits: int = 0
@@ -79,12 +78,6 @@ class MessageStats:
         self.total_messages += 1
         if bits > self.max_message_bits:
             self.max_message_bits = bits
-
-    def fits_congest(self, slack: int = 8) -> bool:
-        """Whether all messages fit in ``slack * log2(n)`` bits."""
-        if self.congest_budget_bits <= 0:
-            return True
-        return self.max_message_bits <= slack * self.congest_budget_bits
 
 
 def message_size_bits(message: object) -> int:

@@ -114,10 +114,6 @@ class RootedTree:
         """All internal nodes."""
         return [node for node in self.nodes() if self.is_internal(node)]
 
-    def degree(self, node: int) -> int:
-        """Degree in the underlying undirected tree."""
-        return len(self.children[node]) + (0 if self.parent[node] is None else 1)
-
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

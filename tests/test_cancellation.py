@@ -126,8 +126,9 @@ class TestSearchCheckpoints:
         with cancel_scope(CancelToken.with_budget(0.3)):
             with pytest.raises(SearchTimeout):
                 classify(problem)
-        # Generous CI margin: the search checkpoints every subset/tuple, so
-        # an abort several seconds late would mean the hooks are gone.
+        # Generous CI margin: the search checkpoints every subset and every
+        # few δ-tuples, so an abort several seconds late would mean the
+        # hooks are gone.
         assert time.monotonic() - start < 5.0
 
     def test_cross_thread_cancel_interrupts_a_running_search(self):

@@ -6,7 +6,8 @@ latency bound — must survive the kernel rewrite.  These tests run the same
 scenarios the frozenset path is tested for (``tests/test_cancellation.py``)
 explicitly against both kernels, plus the memo-scope property the kernel
 adds: an interrupted classification caches nothing, so retrying a doomed
-search stays doomed (and retrying with headroom still succeeds).
+search stays doomed (and retrying with headroom still succeeds), and the
+poll spacing of Algorithm 3, which polls once per ``POLL_STRIDE`` δ-tuples.
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ import pytest
 
 from repro.core import (
     CancelToken,
+    ComplexityClass,
     SearchCancelled,
     SearchTimeout,
     cancel_scope,
     classify,
+    kernel,
     kernel_override,
 )
-from repro.core.kernel import BITMASK, KERNELS, _scope
+from repro.core.kernel import BITMASK, KERNELS, POLL_STRIDE, _scope
 from repro.problems.adversarial import hard_problem
+from repro.problems.random_problems import random_problem
 
 
 class TestKernelCheckpointLatency:
@@ -39,8 +43,8 @@ class TestKernelCheckpointLatency:
                 with pytest.raises(SearchTimeout):
                     classify(problem)
         # Same generous CI margin as the frozenset-path test: the sweeps
-        # checkpoint every subset and every δ-tuple, so an abort seconds
-        # late means the kernel lost its polling hooks.
+        # checkpoint every subset and every POLL_STRIDE δ-tuples, so an
+        # abort seconds late means the kernel lost its polling hooks.
         assert time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -111,3 +115,96 @@ class TestInterruptedSearchesCacheNothing:
                 with pytest.raises(SearchTimeout):
                     classify(problem)
             assert classify(problem).complexity.value == "Theta(log n)"
+
+
+class _TupleLog:
+    """Polls, and the δ-tuples Algorithm 3 enumerates between them.
+
+    Algorithm 3 enumerates a round's tuples through lockstep enumerations
+    (pair codes and set masks), all created before any of them yields.
+    So enumerations created with no item in between form one round, and
+    the round's ``i``-th tuple is the ``i``-th item of any of them.
+    """
+
+    def __init__(self) -> None:
+        self.rounds = 0
+        self.tuples = 0
+        self.worst_gap = 0  # most tuples enumerated between two polls
+        self.unpolled_rounds = []  # rounds with no poll before their last tuple
+        self._gap = 0
+        self._reached = 0  # tuples of the current round so far
+        self._polled = True  # a poll since the current round was created
+        self._last_tuple_polled = True  # ... as of its latest tuple
+        self._creating = False  # the last event created an enumeration
+
+    def poll(self) -> None:
+        self._gap = 0
+        self._polled = True
+
+    def enumeration(self, items):
+        if not self._creating:
+            self.finish()
+            self.rounds += 1
+            self._reached = 0
+            self._polled = False
+            self._creating = True
+        return self._items(items)
+
+    def _items(self, items):
+        for index, item in enumerate(items):
+            self._creating = False
+            if index == self._reached:
+                self._reached += 1
+                self.tuples += 1
+                self._gap += 1
+                self.worst_gap = max(self.worst_gap, self._gap)
+                self._last_tuple_polled = self._polled
+            yield item
+
+    def finish(self) -> None:
+        """Close the current round: it must have polled by its last tuple."""
+        if self.rounds and not self._last_tuple_polled:
+            self.unpolled_rounds.append(self.rounds)
+
+
+class TestPollSpacing:
+    """Algorithm 3 polls once per ``POLL_STRIDE`` enumerated δ-tuples.
+
+    At most ``POLL_STRIDE`` tuples pass between two polls, and every
+    derivation round polls before its last tuple.  Every enumerated tuple
+    counts, also the ones the ``newly`` filter skips:
+    on these draws a sweep skips up to ~970 tuples in a row, so a version
+    counting only the evaluated tuples would leave long gaps between polls.
+    No timing: the test wraps ``checkpoint`` and the δ-tuple enumeration
+    where :mod:`repro.core.kernel` looks them up, and counts.
+    """
+
+    # Cold-shape draws that reach Algorithm 5's flagged sweeps and succeed
+    # there (O(1)), each with a run of more than 64 skipped tuples.
+    SEEDS = (4, 10, 25, 35, 36, 37)
+
+    def test_at_most_poll_stride_tuples_between_polls(self, monkeypatch):
+        log = _TupleLog()
+        real_checkpoint = kernel.checkpoint
+        real_enumeration = kernel.combinations_with_replacement
+
+        def checkpoint():
+            log.poll()
+            real_checkpoint()
+
+        def combinations_with_replacement(iterable, size):
+            return log.enumeration(real_enumeration(iterable, size))
+
+        monkeypatch.setattr(kernel, "checkpoint", checkpoint)
+        monkeypatch.setattr(
+            kernel, "combinations_with_replacement", combinations_with_replacement
+        )
+        with kernel_override(BITMASK):
+            for seed in self.SEEDS:
+                problem = random_problem(4, delta=3, density=0.15, seed=seed)
+                assert classify(problem).complexity is ComplexityClass.CONSTANT
+        log.finish()
+
+        assert log.rounds > len(self.SEEDS) and log.tuples > 10 * POLL_STRIDE
+        assert log.worst_gap <= POLL_STRIDE
+        assert log.unpolled_rounds == []
