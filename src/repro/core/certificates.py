@@ -77,7 +77,7 @@ class CertificateTree:
     def iter_internal_configurations(self) -> Iterator[Configuration]:
         """Yield the configuration of every internal node."""
         if self.children:
-            yield Configuration(self.label, tuple(child.label for child in self.children))
+            yield Configuration(self.label, [child.label for child in self.children])
             for child in self.children:
                 yield from child.iter_internal_configurations()
 
@@ -175,12 +175,16 @@ class UniformCertificate:
 
     def validate(self) -> List[str]:
         """Check all conditions of Definition 6.1; return a list of violations."""
+        return self._check()[0]
+
+    def _check(self) -> Tuple[List[str], Tuple[Label, ...]]:
+        """:meth:`validate`'s violations and :meth:`leaf_labels`, from one walk."""
         issues: List[str] = []
         if self.depth < 1:
             issues.append("certificate depth must be at least 1")
         if set(self.trees.keys()) != set(self.labels):
             issues.append("certificate must contain exactly one tree per certificate label")
-            return issues
+            return issues, ()
         delta = self.problem.delta
         allowed = _allowed_nodes(self.problem)
         reference_leaves: Optional[Tuple[Label, ...]] = None
@@ -202,7 +206,7 @@ class UniformCertificate:
                 reference_leaves = shape.leaves
             elif shape.leaves != reference_leaves:
                 issues.append(f"tree for label {label!r} has a different leaf labeling")
-        return issues
+        return issues, reference_leaves or ()
 
     def is_valid(self) -> bool:
         """Whether the certificate satisfies Definition 6.1."""
@@ -322,8 +326,9 @@ class ConstantCertificate:
 
     def validate(self) -> List[str]:
         """Check all conditions of Definition 7.1; return a list of violations."""
-        return self.uniform.validate() + _special_configuration_issues(
-            self.uniform, self.special_configuration
+        issues, leaves = self.uniform._check()
+        return issues + _special_configuration_issues(
+            self.uniform, self.special_configuration, leaves
         )
 
     def is_valid(self) -> bool:
@@ -332,9 +337,12 @@ class ConstantCertificate:
 
 
 def _special_configuration_issues(
-    uniform: UniformCertificate, config: Configuration
+    uniform: UniformCertificate, config: Configuration, leaves: Sequence[Label]
 ) -> List[str]:
-    """What Definition 7.1 adds to a uniform certificate: the special configuration."""
+    """What Definition 7.1 adds to a uniform certificate: the special configuration.
+
+    ``leaves`` is the certificate's leaf labeling.
+    """
     issues: List[str] = []
     if not config.is_special():
         issues.append(f"configuration {config} is not special (parent not among children)")
@@ -342,7 +350,7 @@ def _special_configuration_issues(
         issues.append(f"special configuration {config} not allowed by the problem")
     if not config.labels <= uniform.labels:
         issues.append("special configuration uses labels outside the certificate labels")
-    if config.parent not in uniform.leaf_labels():
+    if config.parent not in leaves:
         issues.append(
             f"special label {config.parent!r} does not occur at a certificate leaf"
         )
@@ -589,7 +597,9 @@ def _balance_leaves(
 
     ``target`` is the template's depth.  One pre-order walk gives every
     leaf above it its continuation's children and walks on into them.
+    ``allowed`` is fixed, so each label's continuation is looked up once.
     """
+    continuations: Dict[Label, Optional[Configuration]] = {}
     nodes = 0
     stack: List[Tuple[_TemplateNode, int]] = [(template, 0)]
     while stack:
@@ -599,7 +609,10 @@ def _balance_leaves(
             raise CertificateError("certificate grew beyond the size safety cap while balancing")
         if not node.children and depth < target:
             label = next(iter(node.label_set))
-            continuation = problem.continuation_of(label, allowed)
+            if label in continuations:
+                continuation = continuations[label]
+            else:
+                continuation = continuations[label] = problem.continuation_of(label, allowed)
             if continuation is None:
                 raise CertificateError(
                     f"label {label!r} has no continuation below within the certificate labels"
@@ -615,6 +628,13 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
 
     Every certificate returned has been validated against Definition 6.1.
     """
+    return _build_uniform(builder)[0]
+
+
+def _build_uniform(
+    builder: CertificateBuilder,
+) -> Tuple[UniformCertificate, Tuple[Label, ...]]:
+    """:func:`build_uniform_certificate`, plus the leaf labeling its validation read."""
     problem = builder.problem
     labels = builder.label_set
 
@@ -661,12 +681,14 @@ def build_uniform_certificate(builder: CertificateBuilder) -> UniformCertificate
     )
 
 
-def _validated(certificate: UniformCertificate) -> UniformCertificate:
-    """``certificate``, once Definition 6.1 holds for it in full."""
-    issues = certificate.validate()
+def _validated(
+    certificate: UniformCertificate,
+) -> Tuple[UniformCertificate, Tuple[Label, ...]]:
+    """``certificate`` and its leaf labeling, once Definition 6.1 holds for it in full."""
+    issues, leaves = certificate._check()
     if issues:
         raise CertificateError("materialized certificate is invalid: " + "; ".join(issues))
-    return certificate
+    return certificate, leaves
 
 
 def build_constant_certificate(
@@ -675,10 +697,11 @@ def build_constant_certificate(
     """Materialize a constant-time certificate (Definition 7.1) from a builder.
 
     :func:`build_uniform_certificate` has validated the uniform part, so only
-    the conditions Definition 7.1 adds are checked here.
+    the conditions Definition 7.1 adds are checked here, against the leaf
+    labeling that validation walked.
     """
-    uniform = build_uniform_certificate(builder)
-    issues = _special_configuration_issues(uniform, special_configuration)
+    uniform, leaves = _build_uniform(builder)
+    issues = _special_configuration_issues(uniform, special_configuration, leaves)
     if issues:
         raise CertificateError("materialized constant certificate is invalid: " + "; ".join(issues))
     return ConstantCertificate(uniform=uniform, special_configuration=special_configuration)

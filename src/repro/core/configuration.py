@@ -10,15 +10,16 @@ hashable and comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Tuple
 
 Label = str
 """Type alias for node labels.  Labels are short strings such as ``"1"`` or ``"a"``."""
 
+_set_field = object.__setattr__  # how a frozen dataclass sets its fields
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, init=False)
 class Configuration:
     """A single allowed configuration ``parent : children``.
 
@@ -33,10 +34,14 @@ class Configuration:
     """
 
     parent: Label
-    children: Tuple[Label, ...] = field(default=())
+    children: Tuple[Label, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(sorted(self.children)))
+    def __init__(self, parent: Label, children: Iterable[Label] = ()) -> None:
+        # The children are sorted once, on the way in.  Writing through
+        # ``self.__dict__`` would be quicker still, but it gives every
+        # instance a dict of its own: more memory and slower attribute reads.
+        _set_field(self, "parent", parent)
+        _set_field(self, "children", tuple(sorted(children)))
 
     @property
     def delta(self) -> int:
@@ -53,17 +58,6 @@ class Configuration:
         allowed_set = frozenset(allowed)
         return self.labels <= allowed_set
 
-    def child_multiset(self) -> Mapping[Label, int]:
-        """Return the multiset of children labels as a ``{label: count}`` mapping."""
-        counts: dict = {}
-        for child in self.children:
-            counts[child] = counts.get(child, 0) + 1
-        return counts
-
-    def contains_child(self, label: Label) -> bool:
-        """Return ``True`` iff some child carries ``label``."""
-        return label in self.children
-
     def is_special(self) -> bool:
         """Return ``True`` iff this is a *special* configuration (Definition 7.1).
 
@@ -72,31 +66,6 @@ class Configuration:
         configurations are the key ingredient of constant-time solvability.
         """
         return self.parent in self.children
-
-    def matches_children(self, assignment: Sequence[Label]) -> bool:
-        """Check whether ``assignment`` is a permutation of this configuration's children."""
-        return tuple(sorted(assignment)) == self.children
-
-    def child_orderings(self) -> Iterator[Tuple[Label, ...]]:
-        """Iterate over the distinct ordered arrangements of the children labels."""
-        seen = set()
-        for ordering in permutations(self.children):
-            if ordering not in seen:
-                seen.add(ordering)
-                yield ordering
-
-    def replace_one_child(self, old: Label, new: Label) -> "Configuration":
-        """Return a configuration with one occurrence of ``old`` replaced by ``new``.
-
-        Raises ``ValueError`` if ``old`` does not occur among the children.
-        """
-        children = list(self.children)
-        try:
-            index = children.index(old)
-        except ValueError as exc:
-            raise ValueError(f"label {old!r} is not a child of {self}") from exc
-        children[index] = new
-        return Configuration(self.parent, tuple(children))
 
     def to_text(self) -> str:
         """Render the configuration in the paper's notation, e.g. ``"1 : 2 3"``."""
@@ -108,11 +77,11 @@ class Configuration:
 
 def configuration(parent: Label, *children: Label) -> Configuration:
     """Convenience constructor: ``configuration("1", "2", "3")``."""
-    return Configuration(parent, tuple(children))
+    return Configuration(parent, children)
 
 
 def configurations_from_pairs(
     pairs: Iterable[Tuple[Label, Sequence[Label]]]
 ) -> frozenset:
     """Build a frozenset of :class:`Configuration` from ``(parent, children)`` pairs."""
-    return frozenset(Configuration(parent, tuple(children)) for parent, children in pairs)
+    return frozenset(Configuration(parent, children) for parent, children in pairs)

@@ -47,24 +47,38 @@ block is parsed with the grammar above.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import AbstractSet, Iterable, List, Optional, Sequence, Set
 
 from .configuration import Configuration, Label
 from .problem import LCLError, LCLProblem
 
 
-def _split_children_token(token: str, known_labels: Optional[Iterable[Label]]) -> List[Label]:
-    """Split a children token into labels.
+def _parse_line(text: str, line: str, known: AbstractSet[Label]) -> Configuration:
+    """Parse ``text``, the stripped non-empty ``line`` (the grammar above).
 
-    Tokens are normally whitespace separated, but the paper's compact notation
-    glues single-character labels together (``"22"`` means two children labeled
-    ``2``).  A token is split into characters when it is not itself a known
-    label.
+    A children token is split into its characters unless it is one
+    character long or a label of ``known``: the paper's compact notation
+    glues single-character labels together (``"22"`` means two children
+    labeled ``2``).  Errors quote ``line``.
     """
-    known = set(known_labels) if known_labels is not None else set()
-    if token in known or len(token) == 1:
-        return [token]
-    return list(token)
+    parent_text, colon, children_text = text.partition(":")
+    if colon:
+        parent_tokens = parent_text.split()
+        if len(parent_tokens) != 1:
+            raise LCLError(f"expected exactly one parent label in {line!r}")
+        parent = parent_tokens[0]
+        tokens = children_text.split()
+    else:
+        parent, *tokens = text.split()
+    children: List[Label] = []
+    for token in tokens:
+        if len(token) == 1 or token in known:
+            children.append(token)
+        else:
+            children.extend(token)
+    if not children:
+        raise LCLError(f"configuration {line!r} has no children")
+    return Configuration(parent, children)
 
 
 def parse_configuration(line: str, known_labels: Optional[Iterable[Label]] = None) -> Configuration:
@@ -72,22 +86,7 @@ def parse_configuration(line: str, known_labels: Optional[Iterable[Label]] = Non
     text = line.strip()
     if not text:
         raise LCLError("cannot parse an empty configuration line")
-    if ":" in text:
-        parent_text, children_text = text.split(":", 1)
-        parent_tokens = parent_text.split()
-        if len(parent_tokens) != 1:
-            raise LCLError(f"expected exactly one parent label in {line!r}")
-        parent = parent_tokens[0]
-        child_tokens = children_text.split()
-    else:
-        tokens = text.split()
-        parent, child_tokens = tokens[0], tokens[1:]
-    children: List[Label] = []
-    for token in child_tokens:
-        children.extend(_split_children_token(token, known_labels))
-    if not children:
-        raise LCLError(f"configuration {line!r} has no children")
-    return Configuration(parent, tuple(children))
+    return _parse_line(text, line, frozenset(known_labels or ()))
 
 
 def parse_problem(
@@ -112,32 +111,32 @@ def parse_problem(
     name:
         Optional problem name.
     """
-    lines: List[str] = []
-    for raw_line in text.replace(";", "\n").splitlines():
-        stripped = raw_line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append(stripped)
-    if not lines:
-        raise LCLError("problem description contains no configurations")
-    # One pass: each configuration is built once, checked against delta
-    # (so the first bad line in text order is the one reported), and its
-    # labels collected for the alphabet.
+    known = frozenset(labels) if labels is not None else frozenset()
+    # One pass: each configuration is built once, checked against delta (so
+    # the first bad line in text order is the one reported), and its labels
+    # collected for the alphabet.
     configurations: Set[Configuration] = set()
     used: Set[Label] = set()
-    for line in lines:
-        config = parse_configuration(line, labels)
+    for raw_line in text.replace(";", "\n").splitlines():
+        line = raw_line.strip()
+        if not line or line[0] == "#":
+            continue
+        config = _parse_line(line, line, known)
+        children = config.children
         if delta is None:
-            delta = config.delta
-        elif config.delta != delta:
+            delta = len(children)
+        elif len(children) != delta:
             raise LCLError(
                 f"configuration {config} has {config.delta} children, expected {delta}"
             )
         configurations.add(config)
         used.add(config.parent)
-        used.update(config.children)
+        used.update(children)
+    if not configurations:
+        raise LCLError("problem description contains no configurations")
     return LCLProblem(
         delta=delta,
-        labels=used if labels is None else labels,
+        labels=used if labels is None else known,
         configurations=configurations,
         name=name,
     )
@@ -166,13 +165,3 @@ def parse_problem_lines(
 ) -> LCLProblem:
     """Parse a problem given as a sequence of configuration lines."""
     return parse_problem("\n".join(lines), delta=delta, labels=labels, name=name)
-
-
-def round_trip(problem: LCLProblem) -> LCLProblem:
-    """Format then re-parse a problem (used by tests to check parser fidelity)."""
-    return parse_problem(
-        format_problem(problem),
-        delta=problem.delta,
-        labels=problem.labels,
-        name=problem.name,
-    )

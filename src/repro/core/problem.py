@@ -9,15 +9,14 @@ the elementary operations used throughout the paper:
 
 * restriction to a label subset (Definition 4.3),
 * continuations below (Definitions 4.4/4.5),
-* the path-form ``Π_path`` (Definition 4.6),
-* normalization (dropping unused labels), and
+* the path-form ``Π_path`` (Definition 4.6), and
 * structural introspection helpers used by the classifier and the solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .configuration import Configuration, Label
 
@@ -51,16 +50,19 @@ class LCLProblem:
     def __post_init__(self) -> None:
         if self.delta < 1:
             raise LCLError(f"delta must be >= 1, got {self.delta}")
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "configurations", frozenset(self.configurations))
-        for config in self.configurations:
-            if config.delta != self.delta:
+        delta = self.delta
+        labels = frozenset(self.labels)
+        configurations = frozenset(self.configurations)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "configurations", configurations)
+        for config in configurations:
+            if len(config.children) != delta:
                 raise LCLError(
-                    f"configuration {config} has {config.delta} children, expected {self.delta}"
+                    f"configuration {config} has {config.delta} children, expected {delta}"
                 )
-            if not config.labels <= self.labels:
+            if config.parent not in labels or not labels.issuperset(config.children):
                 raise LCLError(
-                    f"configuration {config} uses labels outside the alphabet {sorted(self.labels)}"
+                    f"configuration {config} uses labels outside the alphabet {sorted(labels)}"
                 )
 
     # ------------------------------------------------------------------
@@ -79,14 +81,15 @@ class LCLProblem:
         the configurations.
         """
         configs = frozenset(
-            Configuration(parent, tuple(children)) for parent, children in configurations
+            Configuration(parent, children) for parent, children in configurations
         )
         if labels is None:
-            label_set: Set[Label] = set()
+            used: Set[Label] = set()
             for config in configs:
-                label_set |= config.labels
-            labels = label_set
-        return LCLProblem(delta=delta, labels=frozenset(labels), configurations=configs, name=name)
+                used.add(config.parent)
+                used.update(config.children)
+            labels = used
+        return LCLProblem(delta=delta, labels=labels, configurations=configs, name=name)
 
     # ------------------------------------------------------------------
     # Basic introspection
@@ -117,10 +120,6 @@ class LCLProblem:
         """The configurations in a deterministic (sorted) order."""
         return sorted(self.configurations)
 
-    def description_size(self) -> int:
-        """A simple size measure of the problem description (labels + config slots)."""
-        return len(self.labels) + sum(1 + config.delta for config in self.configurations)
-
     # ------------------------------------------------------------------
     # Configurations indexed by parent / children
     # ------------------------------------------------------------------
@@ -132,16 +131,9 @@ class LCLProblem:
         """Labels that occur as the parent of at least one configuration."""
         return frozenset(c.parent for c in self.configurations)
 
-    def used_labels(self) -> FrozenSet[Label]:
-        """Labels that occur in at least one configuration."""
-        used: Set[Label] = set()
-        for config in self.configurations:
-            used |= config.labels
-        return frozenset(used)
-
     def has_configuration(self, parent: Label, children: Sequence[Label]) -> bool:
         """Check membership of ``(parent : children)`` in ``C`` (children unordered)."""
-        return Configuration(parent, tuple(children)) in self.configurations
+        return Configuration(parent, children) in self.configurations
 
     # ------------------------------------------------------------------
     # Continuations (Definitions 4.4 / 4.5)
@@ -178,7 +170,7 @@ class LCLProblem:
         return min(candidates)
 
     # ------------------------------------------------------------------
-    # Restriction (Definition 4.3) and normalization
+    # Restriction (Definition 4.3) and relabeling
     # ------------------------------------------------------------------
     def restrict(self, allowed: Iterable[Label], name: str = "") -> "LCLProblem":
         """Restriction of the problem to the labels ``allowed`` (Definition 4.3).
@@ -196,10 +188,6 @@ class LCLProblem:
             name=name or (f"{self.name}|restricted" if self.name else ""),
         )
 
-    def normalize(self) -> "LCLProblem":
-        """Drop labels that do not occur in any configuration."""
-        return self.restrict(self.used_labels(), name=self.name)
-
     def relabel(self, mapping: Mapping[Label, Label]) -> "LCLProblem":
         """Rename labels according to ``mapping`` (must be injective on ``Σ``)."""
         targets = [mapping.get(label, label) for label in self.labels]
@@ -208,7 +196,7 @@ class LCLProblem:
         configs = frozenset(
             Configuration(
                 mapping.get(c.parent, c.parent),
-                tuple(mapping.get(child, child) for child in c.children),
+                [mapping.get(child, child) for child in c.children],
             )
             for c in self.configurations
         )

@@ -60,12 +60,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..core.cancellation import checkpoint
 from ..core.configuration import Configuration, Label
 from ..core.problem import LCLProblem
+
+_first = itemgetter(0)
 
 
 def _signature_groups(problem: LCLProblem) -> List[List[Label]]:
@@ -80,32 +82,38 @@ def _signature_groups(problem: LCLProblem) -> List[List[Label]]:
     every order of them ties, so they come first as one-label groups in
     sorted order -- the order the search would pick -- and cost it nothing.
     """
-    parented: Dict[Label, List[Tuple[int, int, int]]] = {}
-    childed: Dict[Label, List[Tuple[int, int]]] = {}
-    for label in problem.labels:
-        parented[label], childed[label] = [], []
+    labels = problem.labels
+    parented: Dict[Label, List[Tuple[int, int, int]]] = {label: [] for label in labels}
+    childed: Dict[Label, List[Tuple[int, int]]] = {label: [] for label in labels}
     for config in problem.configurations:
         parent, children = config.parent, config.children
         distinct = set(children)
-        own = children.count(parent)
-        parented[parent].append((len(distinct), own, int(own > 0)))
+        if parent in distinct:
+            own = children.count(parent)
+            parented[parent].append((len(distinct), own, 1))
+            childed[parent].append((own, 1))
+            distinct.remove(parent)
+        else:
+            parented[parent].append((len(distinct), 0, 0))
         for child in distinct:
-            childed[child].append((children.count(child), int(child == parent)))
+            childed[child].append((children.count(child), 0))
+    unused: List[List[Label]] = []
     by_signature: Dict[Tuple, List[Label]] = {}
-    for label in problem.sorted_labels():
-        parents = sorted(parented[label])
-        children = sorted(childed[label])
+    for label in sorted(labels):
+        parents, children = parented[label], childed[label]
+        if not (parents or children):
+            unused.append([label])
+            continue
+        parents.sort()
+        children.sort()
         signature = (
             len(parents),
-            sum([occurrences for occurrences, _ in children]),
+            sum(map(_first, children)),
             tuple(parents),
             tuple(children),
         )
         by_signature.setdefault(signature, []).append(label)
-    unused = by_signature.pop((0, 0, (), ()), [])
-    return [[label] for label in unused] + [
-        by_signature[signature] for signature in sorted(by_signature)
-    ]
+    return unused + [by_signature[signature] for signature in sorted(by_signature)]
 
 
 def _canonical_order(
@@ -391,12 +399,13 @@ def _close(
 def _render_key(problem: LCLProblem, forward: Mapping[Label, Label]) -> str:
     """The stable text key of ``problem`` relabeled through ``forward``."""
     rename = forward.__getitem__
-    configs = sorted(
-        (rename(config.parent), tuple(sorted(map(rename, config.children))))
+    configs = [
+        (rename(config.parent), sorted(map(rename, config.children)))
         for config in problem.configurations
-    )
+    ]
+    configs.sort()
     config_text = "|".join(
-        f"{parent}:{','.join(children)}" for parent, children in configs
+        [f"{parent}:{','.join(children)}" for parent, children in configs]
     )
     return f"d={problem.delta};k={len(forward)};C={config_text}"
 
@@ -437,7 +446,7 @@ class CanonicalForm:
             configurations=frozenset(
                 Configuration(
                     forward[config.parent],
-                    tuple(forward[child] for child in config.children),
+                    [forward[child] for child in config.children],
                 )
                 for config in self.problem.configurations
             ),

@@ -52,9 +52,7 @@ def problem_from_dict(payload: Mapping[str, Any]) -> LCLProblem:
     """Rebuild a problem from :func:`problem_to_dict` output."""
     return LCLProblem.create(
         delta=payload["delta"],
-        configurations=[
-            (parent, tuple(children)) for parent, children in payload["configurations"]
-        ],
+        configurations=payload["configurations"],
         labels=payload["labels"],
         name=payload.get("name", ""),
     )
@@ -73,7 +71,7 @@ def _configuration_from_list(payload: Optional[List[Any]]) -> Optional[Configura
     if payload is None:
         return None
     parent, children = payload
-    return Configuration(parent, tuple(children))
+    return Configuration(parent, children)
 
 
 def _labels_to_list(labels: Optional[frozenset]) -> Optional[List[Label]]:
@@ -166,7 +164,7 @@ def relabel_result(
     if isinstance(special, Configuration):
         special = Configuration(
             map_label(special.parent),
-            tuple(map_label(child) for child in special.children),
+            [map_label(child) for child in special.children],
         )
     pruning: Tuple[frozenset, ...] = tuple(
         frozenset(map_label(label) for label in labels) for labels in result.pruning_sets

@@ -51,7 +51,7 @@ def brute_force_solve(problem: LCLProblem, tree: RootedTree) -> Optional[Labelin
         children = tree.children[parent]
         if any(child not in labeling for child in children):
             return True
-        config = Configuration(labeling[parent], tuple(labeling[child] for child in children))
+        config = Configuration(labeling[parent], [labeling[child] for child in children])
         return config in problem.configurations
 
     def backtrack(index: int) -> bool:
@@ -113,7 +113,7 @@ def count_solutions(problem: LCLProblem, tree: RootedTree, limit: int = 1_000_00
         children = tree.children[parent]
         if any(child not in labeling for child in children):
             return True
-        config = Configuration(labeling[parent], tuple(labeling[child] for child in children))
+        config = Configuration(labeling[parent], [labeling[child] for child in children])
         return config in problem.configurations
 
     def backtrack(index: int) -> None:

@@ -82,7 +82,7 @@ def verify_labeling(
         child_labels = tuple(labeling.get(child) for child in children)
         if label is None or any(child is None for child in child_labels):
             continue  # already reported as unlabeled above
-        config = Configuration(label, tuple(child_labels))  # type: ignore[arg-type]
+        config = Configuration(label, child_labels)  # type: ignore[arg-type]
         if config not in problem.configurations:
             violations.append(
                 Violation(node, "configuration not allowed", configuration=config)

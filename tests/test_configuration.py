@@ -1,5 +1,7 @@
 """Unit tests for configurations (Definition 4.1)."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from repro.core.configuration import Configuration, configuration, configurations_from_pairs
@@ -19,8 +21,27 @@ class TestCanonicalization:
         assert Configuration("1", ("2", "3")) != Configuration("2", ("2", "3"))
 
     def test_multiset_semantics(self):
-        config = Configuration("a", ("b", "b", "c"))
-        assert config.child_multiset() == {"b": 2, "c": 1}
+        config = Configuration("a", ("c", "b", "b"))
+        assert config.children == ("b", "b", "c")
+        assert config != Configuration("a", ("b", "c"))
+
+    def test_children_from_any_iterable(self):
+        config = Configuration("1", iter(["3", "2"]))
+        assert config.children == ("2", "3")
+        assert type(config.children) is tuple
+
+    def test_dataclass_surface(self):
+        config = Configuration("1", ("3", "2"))
+        assert [field.name for field in fields(Configuration)] == ["parent", "children"]
+        assert repr(config) == "Configuration(parent='1', children=('2', '3'))"
+        assert Configuration("1") == Configuration("1", ())
+        assert sorted([config, Configuration("1", ("1", "9")), Configuration("0", ("9", "9"))]) == [
+            Configuration("0", ("9", "9")),
+            Configuration("1", ("1", "9")),
+            config,
+        ]
+        with pytest.raises(FrozenInstanceError):
+            config.parent = "2"
 
 
 class TestProperties:
@@ -40,30 +61,6 @@ class TestProperties:
 
     def test_is_special_false(self):
         assert not configuration("1", "2", "3").is_special()
-
-    def test_contains_child(self):
-        config = configuration("1", "2", "3")
-        assert config.contains_child("2")
-        assert not config.contains_child("1")
-
-    def test_matches_children(self):
-        config = configuration("1", "2", "3")
-        assert config.matches_children(["3", "2"])
-        assert not config.matches_children(["2", "2"])
-
-    def test_child_orderings_distinct(self):
-        config = configuration("1", "2", "2")
-        assert list(config.child_orderings()) == [("2", "2")]
-        config2 = configuration("1", "2", "3")
-        assert sorted(config2.child_orderings()) == [("2", "3"), ("3", "2")]
-
-    def test_replace_one_child(self):
-        config = configuration("1", "2", "2")
-        assert config.replace_one_child("2", "3") == configuration("1", "2", "3")
-
-    def test_replace_one_child_missing_raises(self):
-        with pytest.raises(ValueError):
-            configuration("1", "2", "2").replace_one_child("9", "3")
 
     def test_to_text(self):
         assert configuration("1", "3", "2").to_text() == "1 : 2 3"

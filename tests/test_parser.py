@@ -2,9 +2,33 @@
 
 import pytest
 
-from repro.core import Configuration, LCLError, parse_configuration, parse_problem, format_problem
-from repro.core.parser import parse_problem_lines, round_trip
+from repro.core import (
+    Configuration,
+    LCLError,
+    LCLProblem,
+    format_problem,
+    parse_configuration,
+    parse_problem,
+)
+from repro.core.parser import parse_problem_lines
 from repro.problems import maximal_independent_set, three_coloring
+
+
+def round_trip(problem: LCLProblem) -> LCLProblem:
+    """Format then re-parse ``problem``."""
+    return parse_problem(
+        format_problem(problem),
+        delta=problem.delta,
+        labels=problem.labels,
+        name=problem.name,
+    )
+
+
+def error_message(call, *args, **kwargs) -> str:
+    """The text of the :class:`LCLError` that ``call(*args, **kwargs)`` raises."""
+    with pytest.raises(LCLError) as raised:
+        call(*args, **kwargs)
+    return str(raised.value)
 
 
 class TestConfigurationParsing:
@@ -22,12 +46,16 @@ class TestConfigurationParsing:
         assert config == Configuration("x1", ("a1", "b1"))
 
     def test_empty_line_rejected(self):
-        with pytest.raises(LCLError):
-            parse_configuration("   ")
+        assert error_message(parse_configuration, "   ") == (
+            "cannot parse an empty configuration line"
+        )
 
     def test_missing_children_rejected(self):
-        with pytest.raises(LCLError):
-            parse_configuration("1 :")
+        assert error_message(parse_configuration, "1 :") == "configuration '1 :' has no children"
+        # A single line is quoted as given, surrounding whitespace included.
+        assert error_message(parse_configuration, " 1 : ") == (
+            "configuration ' 1 : ' has no children"
+        )
 
 
 class TestProblemParsing:
@@ -51,16 +79,48 @@ class TestProblemParsing:
         assert problem.num_configurations == 2
 
     def test_inconsistent_arity_rejected(self):
-        with pytest.raises(LCLError):
-            parse_problem("1 : 2 2\n2 : 1")
+        assert error_message(parse_problem, "1 : 2 2\n2 : 1") == (
+            "configuration 2 : 1 has 1 children, expected 2"
+        )
 
     def test_empty_description_rejected(self):
-        with pytest.raises(LCLError):
-            parse_problem("   \n  # nothing here\n")
+        assert error_message(parse_problem, "   \n  # nothing here\n") == (
+            "problem description contains no configurations"
+        )
 
     def test_explicit_delta_checked(self):
-        with pytest.raises(LCLError):
-            parse_problem("1 : 2 2", delta=3)
+        assert error_message(parse_problem, "1 : 2 2", delta=3) == (
+            "configuration 1 : 2 2 has 2 children, expected 3"
+        )
+
+    @pytest.mark.parametrize(
+        "text, kwargs, message",
+        [
+            ("1 : 2 2\n1 2 : 3 3", {}, "expected exactly one parent label in '1 2 : 3 3'"),
+            ("1 : 2 2\n  1 :  ", {}, "configuration '1 :' has no children"),
+            ("1 : 2 2\n3", {}, "configuration '3' has no children"),
+            ("1 : 2 2", {"delta": 0}, "configuration 1 : 2 2 has 2 children, expected 0"),
+            (
+                "1 : 2 2",
+                {"labels": ["1"]},
+                "configuration 1 : 2 2 uses labels outside the alphabet ['1']",
+            ),
+            # The first bad line in text order is the one reported.
+            ("1 : 2 2\n1 : 2\n1 2 : 3 3", {}, "configuration 1 : 2 has 1 children, expected 2"),
+        ],
+    )
+    def test_error_message(self, text, kwargs, message):
+        assert error_message(parse_problem, text, **kwargs) == message
+
+    def test_multicharacter_labels_kept_whole_with_explicit_alphabet(self):
+        problem = parse_problem("x1 : a1 b1\na1 : b1 b1", labels=["x1", "a1", "b1"])
+        assert problem.configurations == frozenset(
+            {Configuration("x1", ("a1", "b1")), Configuration("a1", ("b1", "b1"))}
+        )
+        assert problem.labels == frozenset({"x1", "a1", "b1"})
+        # Without the alphabet, glued children tokens are split.
+        glued = parse_problem("x1 : a1")
+        assert glued.configurations == frozenset({Configuration("x1", ("1", "a"))})
 
 
 class TestFormatting:

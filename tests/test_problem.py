@@ -14,20 +14,47 @@ from repro.problems import (
 
 class TestConstruction:
     def test_create_infers_labels(self):
-        problem = LCLProblem.create(2, [("1", ("2", "2"))])
-        assert problem.labels == frozenset({"1", "2"})
+        problem = LCLProblem.create(2, [("1", ("2", "2")), ("3", ["2", "1"])])
+        assert problem.labels == frozenset({"1", "2", "3"})
+        assert Configuration("3", ("1", "2")) in problem.configurations
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(LCLError):
+        with pytest.raises(LCLError, match=r"^configuration 1 : 2 has 1 children, expected 2$"):
             LCLProblem.create(2, [("1", ("2",))])
 
     def test_labels_outside_alphabet_rejected(self):
-        with pytest.raises(LCLError):
+        with pytest.raises(
+            LCLError,
+            match=r"^configuration 1 : 2 2 uses labels outside the alphabet \['1'\]$",
+        ):
             LCLProblem(2, frozenset({"1"}), frozenset({Configuration("1", ("2", "2"))}))
+        # A foreign parent alone is caught too.
+        with pytest.raises(
+            LCLError,
+            match=r"^configuration 2 : 1 1 uses labels outside the alphabet \['1'\]$",
+        ):
+            LCLProblem(2, frozenset({"1"}), frozenset({Configuration("2", ("1", "1"))}))
 
     def test_delta_must_be_positive(self):
-        with pytest.raises(LCLError):
+        with pytest.raises(LCLError, match=r"^delta must be >= 1, got 0$"):
             LCLProblem.create(0, [])
+
+    def test_first_bad_configuration_in_iteration_order_is_named(self):
+        # Bad arities and foreign labels mixed: the error names the first bad
+        # configuration in the frozenset's iteration order, whatever its fault.
+        configs = frozenset(
+            [Configuration("1", (label, "2")) for label in "3456"]
+            + [Configuration("2", (label,)) for label in "12"]
+            + [Configuration("1", ("2", "2"))]
+        )
+        first = next(c for c in configs if c.delta != 2 or not c.labels <= {"1", "2"})
+        if first.delta != 2:
+            expected = f"configuration {first} has 1 children, expected 2"
+        else:
+            expected = f"configuration {first} uses labels outside the alphabet ['1', '2']"
+        with pytest.raises(LCLError) as raised:
+            LCLProblem(2, frozenset({"1", "2"}), configs)
+        assert str(raised.value) == expected
 
     def test_three_coloring_has_nine_configurations(self):
         assert three_coloring().num_configurations == 9
@@ -66,10 +93,6 @@ class TestRestriction:
         small = problem.restrict({"1", "2"})
         smaller = problem.restrict({"1"})
         assert smaller.configurations <= small.configurations <= problem.configurations
-
-    def test_normalize_drops_unused_labels(self):
-        problem = LCLProblem.create(2, [("1", ("1", "1"))], labels=["1", "2"])
-        assert problem.normalize().labels == frozenset({"1"})
 
     def test_relabel(self):
         problem = two_coloring().relabel({"1": "x", "2": "y"})
@@ -142,9 +165,6 @@ class TestSolvability:
 
 
 class TestIntrospection:
-    def test_description_size_positive(self):
-        assert three_coloring().description_size() > 0
-
     def test_parents(self):
         assert branch_two_coloring().parents() == frozenset({"1", "2"})
 
