@@ -166,8 +166,7 @@ def test_parallel_census_speedup(benchmark):
     # One pool for every round, spawned (and import-warmed) before timing:
     # the rounds should measure search parallelism, not interpreter startup.
     backend = ProcessBackend(workers=4)
-    for future in [backend.submit(time.sleep, 0.01) for _ in range(4)]:
-        future.result(timeout=120)
+    backend.probe()
     durations = []
 
     def parallel_census():

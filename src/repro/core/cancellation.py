@@ -19,11 +19,6 @@ token is cancelled or past its deadline, the checkpoint raises
 :class:`SearchCancelled` or :class:`SearchTimeout` and the search unwinds
 immediately, releasing its worker.
 
-The flag object of a token only needs ``is_set()``/``set()``.  It defaults to
-a :class:`threading.Event`, but a ``multiprocessing.Event`` works equally
-well, which is how the process worker backend forwards hard-cancellation into
-child processes (see :mod:`repro.workers.backends`).
-
 This module is deliberately dependency-free (standard library only) so the
 core decision procedures can poll it without importing the worker subsystem.
 """
@@ -33,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 CANCELLED = "cancelled"
 TIMEOUT = "timeout"
@@ -76,17 +71,13 @@ class CancelToken:
     deadline:
         Absolute :func:`time.monotonic` timestamp after which the token is
         expired.  ``None`` means no time limit.
-    flag:
-        The shared cancellation flag; any object with ``is_set()`` and
-        ``set()`` (default: a fresh :class:`threading.Event`, replaceable
-        with a ``multiprocessing.Event`` for cross-process tokens).
     """
 
     __slots__ = ("deadline", "_flag", "reason", "checkpoints")
 
-    def __init__(self, deadline: Optional[float] = None, flag: Any = None) -> None:
+    def __init__(self, deadline: Optional[float] = None) -> None:
         self.deadline = deadline
-        self._flag = flag if flag is not None else threading.Event()
+        self._flag = threading.Event()
         self.reason: Optional[str] = None
         # Observability piggyback: the searches already poll this token at
         # every checkpoint, so counting polls here gives the tracing layer a

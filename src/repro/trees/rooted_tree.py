@@ -13,7 +13,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 
 class TreeError(ValueError):
@@ -41,26 +41,8 @@ class RootedTree:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Construction
+    # Validation
     # ------------------------------------------------------------------
-    @staticmethod
-    def from_parent_list(parents: Sequence[Optional[int]]) -> "RootedTree":
-        """Build a tree from a parent array (exactly one ``None`` entry, the root)."""
-        n = len(parents)
-        children: List[List[int]] = [[] for _ in range(n)]
-        roots = [v for v, p in enumerate(parents) if p is None]
-        if len(roots) != 1:
-            raise TreeError(f"expected exactly one root, found {len(roots)}")
-        for v, p in enumerate(parents):
-            if p is None:
-                continue
-            if not 0 <= p < n:
-                raise TreeError(f"parent of node {v} is out of range: {p}")
-            children[p].append(v)
-        tree = RootedTree(parent=list(parents), children=children)
-        tree.validate()
-        return tree
-
     def validate(self) -> None:
         """Check that the structure is a single tree rooted at :attr:`root`."""
         n = self.num_nodes
@@ -167,10 +149,6 @@ class RootedTree:
             result.append(current)
             current = self.parent[current]
         return result
-
-    def path_to_root(self, node: int) -> List[int]:
-        """The node itself followed by all its ancestors up to the root."""
-        return [node] + self.ancestors(node)
 
     def distance(self, first: int, second: int) -> int:
         """Distance between two nodes in the undirected tree."""

@@ -6,14 +6,13 @@ each distinct canonical problem is searched **at most once at a time**,
 however many callers ask for it:
 
 * :mod:`repro.workers.backends` — pluggable execution backends behind one
-  ``submit() -> Future`` interface: ``inline`` (synchronous, the classic
-  serial path), ``threads`` (concurrent in-process execution, the service
-  default), and ``processes`` (true CPU parallelism for cold censuses),
-  selected by ``--worker-backend``/``--workers`` on the CLI.  The
-  deadline-aware edge is :meth:`~repro.workers.backends.WorkerBackend.submit_task`,
-  which installs a :class:`~repro.core.cancellation.CancelToken` where the
-  task runs and returns a :class:`~repro.workers.backends.TaskHandle` whose
-  ``kill()`` hard-terminates deadline-carrying ``processes`` searches.
+  :meth:`~repro.workers.backends.WorkerBackend.submit_task` interface, which
+  runs a task under a :class:`~repro.core.cancellation.CancelToken` and
+  returns a ``Future``: ``inline`` (synchronous, the classic serial path),
+  ``threads`` (concurrent in-process execution, the service default), and
+  ``processes`` (true CPU parallelism for cold censuses, on long-lived worker
+  processes that a cancel terminates), selected by
+  ``--worker-backend``/``--workers`` on the CLI.
 * :mod:`repro.workers.scheduler` — :class:`ClassificationScheduler`, the
   canonical-keyed job scheduler with single-flight deduplication, a
   priority heap (``interactive`` > ``batch`` > ``warm``, admission-limited
@@ -42,7 +41,6 @@ from .backends import (
     DEFAULT_WORKERS,
     InlineBackend,
     ProcessBackend,
-    TaskHandle,
     ThreadBackend,
     WorkerBackend,
     create_backend,
@@ -83,7 +81,6 @@ __all__ = [
     "SearchTimeStats",
     "SearchInterrupted",
     "SearchTimeout",
-    "TaskHandle",
     "ThreadBackend",
     "WorkerBackend",
     "create_backend",

@@ -1,8 +1,9 @@
 """Execution backends for the parallel classification scheduler.
 
-A :class:`WorkerBackend` turns a picklable/callable task into a
-:class:`concurrent.futures.Future`.  Three implementations cover the
-trade-off space of the exponential certificate searches:
+A :class:`WorkerBackend` runs a picklable/callable task under a cancel token
+and returns a :class:`concurrent.futures.Future` for its result.  Three
+implementations cover the trade-off space of the exponential certificate
+searches:
 
 * :class:`InlineBackend` — runs the task synchronously in the caller's
   thread and returns an already-resolved future.  Zero overhead, zero
@@ -14,34 +15,31 @@ trade-off space of the exponential certificate searches:
   window to merge duplicates) rather than CPU parallelism.  This is the
   service default: it removes head-of-line blocking between independent
   requests without process-spawn cost.
-* :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  True CPU parallelism for cold, duplicate-poor workloads; tasks and results
-  cross the process boundary as plain dicts (:mod:`repro.engine.serialization`).
-  When the platform cannot spawn workers (sandboxes without ``/dev/shm`` or
-  fork rights), submitted tasks transparently degrade to inline execution
+* :class:`ProcessBackend` — a thread pool whose threads each drive one
+  long-lived worker process.  True CPU parallelism for cold, duplicate-poor
+  workloads; tasks and results cross the process boundary as plain dicts
+  (:mod:`repro.engine.serialization`).  When the platform cannot start a
+  worker (sandboxes without fork rights), the task runs on its pool thread
   instead of failing the job.
 
 Cancellation and deadlines
 --------------------------
-:meth:`WorkerBackend.submit_task` is the deadline-aware edge used by the
-scheduler: it takes an optional :class:`~repro.core.cancellation.CancelToken`
-and returns a :class:`TaskHandle` (a future plus a best-effort ``kill()``).
-Each backend maps the token onto its own execution model:
+:meth:`WorkerBackend.submit_task` takes an optional
+:class:`~repro.core.cancellation.CancelToken`; cancelling the returned future
+only stops a task that has not started.  Each backend maps the token onto its
+own execution model:
 
 * ``inline`` and ``threads`` install the token as the executing thread's
   *cancel scope* (:func:`repro.core.cancellation.cancel_scope`); the search
-  loops poll it via ``checkpoint()`` and unwind cooperatively.  ``kill()``
-  can only prevent a still-queued thread task (``Future.cancel``) — a running
-  one stops at its next checkpoint.
-* ``processes`` runs tasks marked ``killable`` (the scheduler marks searches
-  whose creating submission carries a deadline) on a **dedicated,
-  hard-killable** :class:`multiprocessing.Process` instead of the shared
-  pool: the child installs a cancel scope armed with the token's remaining
-  budget and a shared ``multiprocessing.Event`` mirror of the cancel flag,
-  and ``kill()`` simply terminates the child — the only way to reclaim a
-  worker from a search that never reaches a checkpoint.  Everything else
-  keeps using the warm pool (a cancel there only detaches the waiters; the
-  pool worker finishes and the result is discarded).
+  loops poll it via ``checkpoint()`` and unwind cooperatively, so a running
+  search stops at its next checkpoint.
+* ``processes`` runs the task in a worker process with no cancel scope, while
+  the pool thread waits for the reply and checks the token every
+  :attr:`ProcessBackend._POLL_SECONDS`.  Once the token is cancelled or
+  expired, the thread terminates the worker, which the next task replaces,
+  and fails the task with :class:`SearchTimeout` or :class:`SearchCancelled`.
+  So every search on ``processes`` stops within one poll of its cancel, even
+  one that never reaches a checkpoint.
 
 :func:`create_backend` maps the CLI/service spelling (``--worker-backend
 inline|threads|processes``, ``--workers N``) onto an instance.
@@ -51,9 +49,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
-import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+import queue
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Optional, Tuple
 
 from ..core.cancellation import (
@@ -87,35 +84,6 @@ DEFAULT_WORKERS = max(usable_cpus(), 1)
 """Worker count used when a pool backend is requested without ``--workers``."""
 
 
-class TaskHandle:
-    """A running (or finished) backend task: its future plus best-effort kill.
-
-    ``kill()`` uses the backend-specific hard kill when one exists
-    (terminating the dedicated process of a cancellable ``processes`` task —
-    its watcher thread then resolves the future with the token's verdict);
-    otherwise it falls back to preventing a not-yet-started task
-    (``Future.cancel``).  It returns ``True`` when the task was positively
-    stopped; ``False`` means the task keeps running until it observes its
-    cancel token at a checkpoint (the cooperative backends) or completes.
-    """
-
-    __slots__ = ("future", "_kill")
-
-    def __init__(
-        self, future: "Future[Any]", kill: Optional[Callable[[], bool]] = None
-    ) -> None:
-        self.future = future
-        self._kill = kill
-
-    def kill(self) -> bool:
-        if self._kill is not None:
-            # The hard kill owns the future's resolution: do NOT cancel the
-            # future here, or the real terminate would be skipped and the
-            # watcher would race an already-cancelled future.
-            return self._kill()
-        return self.future.cancel()
-
-
 class WorkerBackend:
     """Interface of an execution backend: submit tasks, expose capacity."""
 
@@ -126,34 +94,25 @@ class WorkerBackend:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        """Run ``fn(*args)`` on the backend; return a future for its result."""
-        raise NotImplementedError
-
     def submit_task(
         self,
         fn: Callable[..., Any],
         *args: Any,
         token: Optional[CancelToken] = None,
-        killable: bool = False,
-    ) -> TaskHandle:
-        """Run ``fn(*args)`` under ``token``'s cancel scope; return a handle.
+    ) -> "Future[Any]":
+        """Run ``fn(*args)`` under ``token``; return a future for its result.
 
-        ``killable=True`` asks for hard-kill support where the backend can
-        provide it (the ``processes`` backend then uses a dedicated
-        terminable worker instead of its pool); cooperative backends ignore
-        the hint.  The default implementation ignores the token too (backends
-        that cannot propagate one still execute the task); the concrete
-        backends override it to install the scope where the task runs.
+        A running task stops when it sees ``token`` cancelled or expired (see
+        the module docstring); ``future.cancel()`` only stops one that has not
+        started.  Pool backends raise ``RuntimeError`` after :meth:`close`.
         """
-        return TaskHandle(self.submit(fn, *args))
+        raise NotImplementedError
 
     def probe(self) -> None:
         """Eagerly verify the backend can actually execute work.
 
-        Pool backends that initialize lazily (``processes``) spawn their
-        workers here, so the first request does not pay the spawn.  A no-op
-        for backends with nothing to spawn.
+        ``processes`` starts its workers here, so the first request does not
+        pay the spawn.  A no-op for backends with nothing to spawn.
         """
 
     def close(self) -> None:
@@ -173,6 +132,12 @@ class WorkerBackend:
         return f"{type(self).__name__}(workers={self.workers})"
 
 
+def _run_in_scope(fn: Callable[..., Any], args: Tuple[Any, ...], token: Optional[CancelToken]) -> Any:
+    """Execute ``fn(*args)`` with ``token`` installed on the current thread."""
+    with cancel_scope(token):
+        return fn(*args)
+
+
 class InlineBackend(WorkerBackend):
     """Synchronous execution in the submitting thread (no pool at all)."""
 
@@ -181,34 +146,18 @@ class InlineBackend(WorkerBackend):
     def __init__(self, workers: int = 1) -> None:
         super().__init__(workers=1)
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        future: "Future[Any]" = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as error:  # noqa: BLE001 - future carries it
-            future.set_exception(error)
-        return future
-
     def submit_task(
         self,
         fn: Callable[..., Any],
         *args: Any,
         token: Optional[CancelToken] = None,
-        killable: bool = False,
-    ) -> TaskHandle:
+    ) -> "Future[Any]":
         future: "Future[Any]" = Future()
         try:
-            with cancel_scope(token):
-                future.set_result(fn(*args))
+            future.set_result(_run_in_scope(fn, args, token))
         except BaseException as error:  # noqa: BLE001 - future carries it
             future.set_exception(error)
-        return TaskHandle(future)
-
-
-def _run_in_scope(fn: Callable[..., Any], args: Tuple[Any, ...], token: Optional[CancelToken]) -> Any:
-    """Execute ``fn(*args)`` with ``token`` installed on the worker thread."""
-    with cancel_scope(token):
-        return fn(*args)
+        return future
 
 
 class ThreadBackend(WorkerBackend):
@@ -222,236 +171,169 @@ class ThreadBackend(WorkerBackend):
             max_workers=workers, thread_name_prefix="repro-worker"
         )
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        return self._executor.submit(fn, *args)
-
     def submit_task(
         self,
         fn: Callable[..., Any],
         *args: Any,
         token: Optional[CancelToken] = None,
-        killable: bool = False,
-    ) -> TaskHandle:
-        return TaskHandle(self._executor.submit(_run_in_scope, fn, args, token))
+    ) -> "Future[Any]":
+        return self._executor.submit(self._run, fn, args, token)
+
+    def _run(
+        self, fn: Callable[..., Any], args: Tuple[Any, ...], token: Optional[CancelToken]
+    ) -> Any:
+        """Execute one task on a pool thread."""
+        return _run_in_scope(fn, args, token)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
 
 
-def _killable_child(
-    conn: Any,
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
-    budget: Optional[float],
-    flag: Any,
-) -> None:
-    """Entry point of a dedicated killable worker process.
+_Worker = Tuple[Any, Any]
+"""A worker process and the parent's end of its pipe."""
 
-    Installs a cancel scope rebuilt from the parent token's *remaining*
-    budget and the shared ``multiprocessing.Event`` flag, so the child both
-    times itself out cooperatively and observes explicit cancellation — the
-    parent's ``terminate()`` is only the backstop for searches that never
-    reach a checkpoint.  The result (or the exception) is shipped back over
-    ``conn``; unpicklable exceptions degrade to a ``RuntimeError`` repr.
+
+def _serve(conn: Any) -> None:
+    """Main loop of a worker process: run each task it is sent, until ``None``.
+
+    Tasks run with no cancel scope, so a ``checkpoint()`` is one thread-local
+    read: the parent stops a search by terminating this process.  Each reply
+    is ``("ok", value)`` or ``("error", exception)``; a value or exception
+    that cannot be pickled degrades to a ``RuntimeError`` of its repr.
     """
-    deadline = time.monotonic() + budget if budget is not None else None
-    token = CancelToken(deadline=deadline, flag=flag)
-    try:
-        with cancel_scope(token):
-            result = fn(*args)
-        payload: Tuple[str, Any] = ("ok", result)
-    except BaseException as error:  # noqa: BLE001 - shipped to the parent
-        payload = ("error", error)
-    try:
-        conn.send(payload)
-    except Exception:  # noqa: BLE001 - e.g. unpicklable exception instance
-        conn.send(("error", RuntimeError(repr(payload[1]))))
-    finally:
-        conn.close()
+    while True:
+        task = conn.recv()
+        if task is None:
+            return
+        fn, args = task
+        try:
+            reply: Tuple[str, Any] = ("ok", fn(*args))
+        except BaseException as error:  # noqa: BLE001 - shipped to the parent
+            reply = ("error", error)
+        try:
+            conn.send(reply)
+        except Exception:  # noqa: BLE001 - e.g. unpicklable exception instance
+            conn.send(("error", RuntimeError(repr(reply[1]))))
 
 
-class ProcessBackend(WorkerBackend):
-    """A process pool: true CPU parallelism for the certificate searches.
+def _stop(worker: _Worker, grace: float = 0.0) -> None:
+    """Kill a worker process and close the parent's end of its pipe.
 
-    The pool is created lazily on first submit, so merely opening a session
+    With a ``grace``, the worker is first sent its stop message and given that
+    long to exit.  It has to be told: under ``fork`` every later worker holds
+    a copy of the parent's end, so closing that end gives the worker no EOF.
+    The kill is ``SIGKILL``, which no signal handler inherited through
+    ``fork`` can catch, so the join always returns.
+    """
+    process, conn = worker
+    if grace:
+        try:
+            conn.send(None)
+        except OSError:
+            pass  # already dead
+        process.join(grace)
+    process.kill()  # a no-op once the worker has exited
+    process.join()
+    conn.close()
+
+
+class ProcessBackend(ThreadBackend):
+    """A thread pool whose threads each drive one long-lived worker process.
+
+    A pool thread takes an idle worker (or starts one), sends it the task
+    over its pipe and waits for the reply, checking the task's token and the
+    worker's life every :attr:`_POLL_SECONDS`.  A worker that answers goes
+    back to the idle queue.  A worker whose task is cancelled or expired is
+    terminated, and one that dies mid-task fails its task with a
+    ``RuntimeError``; either way the next task starts a fresh one.
+
+    Workers start on first use (or in :meth:`probe`), so opening a session
     with ``--worker-backend processes`` costs nothing until a cold
-    representative actually needs a search.  If the pool cannot be created or
-    breaks (sandboxed environments), tasks fall back to inline execution and
-    :attr:`degraded` is set — the job still completes, just without
+    representative needs a search.  If a worker cannot start (sandboxed
+    environments), :attr:`degraded` is set and tasks run on the pool thread
+    under their token's cancel scope: the job still completes, just without
     parallelism.
-
-    Tasks submitted with a cancel token run on a dedicated
-    :class:`multiprocessing.Process` instead of the pool (see
-    :func:`_killable_child`): the process boundary is the one place where a
-    *hard* kill is possible, and a per-search process is what lets
-    ``kill()`` reclaim the worker from a search that never checkpoints.
     """
 
     name = "processes"
 
-    # How often the watcher thread of a killable task polls for its result
-    # and for cancellation.  Bounds the latency between `token.cancel()` and
-    # the terminate() backstop.
+    # How often a waiting pool thread checks its task's token and worker.
+    # Bounds the latency between a cancel and the worker's termination.
     _POLL_SECONDS = 0.05
+
+    # How long close() gives an idle worker to exit on its stop message
+    # before killing it.
+    _STOP_GRACE_SECONDS = 1.0
 
     def __init__(self, workers: int = DEFAULT_WORKERS) -> None:
         super().__init__(workers=workers)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_lock = threading.Lock()
-        self._closed = False
+        self._idle: "queue.SimpleQueue[_Worker]" = queue.SimpleQueue()
         self.degraded = False
 
-    def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
-        with self._executor_lock:
-            if self._closed:
-                raise RuntimeError("cannot submit to a closed ProcessBackend")
-            if self.degraded:
-                return None
-            if self._executor is None:
-                try:
-                    self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                except (OSError, ValueError):  # pragma: no cover - sandboxing
-                    self.degraded = True
-                    return None
-            return self._executor
+    def _take_worker(self) -> Optional[_Worker]:
+        """An idle worker, else a new one; ``None`` when none can start."""
+        try:
+            return self._idle.get_nowait()
+        except queue.Empty:
+            pass
+        if self.degraded:
+            return None
+        try:
+            conn, child_conn = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_serve, args=(child_conn,), daemon=True, name="repro-search"
+            )
+            process.start()
+        except OSError:  # pragma: no cover - sandboxing
+            self.degraded = True
+            return None
+        child_conn.close()
+        return process, conn
+
+    def _run(
+        self, fn: Callable[..., Any], args: Tuple[Any, ...], token: Optional[CancelToken]
+    ) -> Any:
+        worker = self._take_worker()
+        if worker is None:  # pragma: no cover - sandboxing
+            return _run_in_scope(fn, args, token)
+        process, conn = worker
+        try:
+            conn.send((fn, args))
+            while not conn.poll(self._POLL_SECONDS):
+                if token is not None and (token.cancelled or token.expired):
+                    if token.reason == TIMEOUT or token.expired:
+                        raise SearchTimeout()
+                    raise SearchCancelled()
+                if not process.is_alive():
+                    # Dead, but a later worker may hold the pipe open: no EOF.
+                    raise EOFError
+            kind, value = conn.recv()
+        except (EOFError, OSError):
+            _stop(worker)
+            raise RuntimeError(
+                f"search worker died with exit code {process.exitcode}"
+            ) from None
+        except BaseException:  # cancelled, expired, or the task cannot pickle
+            _stop(worker)
+            raise
+        self._idle.put(worker)
+        if kind == "error":
+            raise value
+        return value
 
     def probe(self) -> None:
-        """Spawn the pool and run one trivial task through it.
+        """Start every worker and run one trivial task on each.
 
         After this returns the workers are up and :attr:`degraded` is
         accurate; the service probes at startup, so its first request does
         not pay the spawn.
         """
-        self.submit(int).result(timeout=300)
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        executor = self._ensure_executor()
-        if executor is None:  # pragma: no cover - sandboxing
-            return InlineBackend().submit(fn, *args)
-        try:
-            inner = executor.submit(fn, *args)
-        except (RuntimeError, BrokenExecutor):  # pragma: no cover - pool died
-            self.degraded = True
-            return InlineBackend().submit(fn, *args)
-        proxy: "Future[Any]" = Future()
-
-        def relay(done: "Future[Any]") -> None:
-            error = done.exception()
-            if isinstance(error, (BrokenExecutor, OSError)):
-                # The pool broke underneath the task (worker killed, spawn
-                # denied): degrade to inline so the job is not lost.
-                self.degraded = True  # pragma: no cover - sandboxing
-                try:  # pragma: no cover
-                    proxy.set_result(fn(*args))
-                except BaseException as inline_error:  # noqa: BLE001
-                    proxy.set_exception(inline_error)
-            elif error is not None:
-                proxy.set_exception(error)
-            else:
-                proxy.set_result(done.result())
-
-        inner.add_done_callback(relay)
-        return proxy
-
-    def submit_task(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        token: Optional[CancelToken] = None,
-        killable: bool = False,
-    ) -> TaskHandle:
-        if token is None or not killable:
-            # Plain searches keep the warm pool (and its reuse).  A token
-            # cannot cross into pool workers, so cancelling such a task only
-            # detaches its waiters: the pool worker finishes the search and
-            # the result is discarded (documented zombie).
-            return TaskHandle(self.submit(fn, *args))
-        with self._executor_lock:
-            if self._closed:
-                raise RuntimeError("cannot submit to a closed ProcessBackend")
-            degraded = self.degraded
-        if degraded:  # pragma: no cover - sandboxing
-            return InlineBackend().submit_task(fn, *args, token=token)
-        try:
-            return self._spawn_killable(fn, args, token)
-        except OSError:  # pragma: no cover - sandboxing
-            self.degraded = True
-            return InlineBackend().submit_task(fn, *args, token=token)
-
-    def _spawn_killable(
-        self, fn: Callable[..., Any], args: Tuple[Any, ...], token: CancelToken
-    ) -> TaskHandle:
-        """One dedicated, terminable process for one cancellable search."""
-        receiver, sender = multiprocessing.Pipe(duplex=False)
-        flag = multiprocessing.Event()
-        if token.cancelled:
-            flag.set()
-        process = multiprocessing.Process(
-            target=_killable_child,
-            args=(sender, fn, args, token.remaining(), flag),
-            daemon=True,
-        )
-        process.start()
-        sender.close()  # the parent only reads; EOF then means "child died"
-        future: "Future[Any]" = Future()
-
-        def kill() -> bool:
-            token.cancel()
-            flag.set()
-            if process.is_alive():
-                process.terminate()
-            return True
-
-        def resolve(action: Callable[[], None]) -> None:
-            # The future is normally ours alone to resolve, but guard anyway:
-            # racing a stray cancellation must not crash the watcher thread.
-            try:
-                action()
-            except Exception:  # pragma: no cover - InvalidStateError race
-                pass
-
-        def watch() -> None:
-            payload: Optional[Tuple[str, Any]] = None
-            while True:
-                if token.cancelled and not flag.is_set():
-                    flag.set()  # mirror a cancel the parent token saw first
-                try:
-                    if receiver.poll(self._POLL_SECONDS):
-                        payload = receiver.recv()
-                        break
-                except (EOFError, OSError):
-                    break  # child died without reporting (killed or crashed)
-                if not process.is_alive() and not receiver.poll(0):
-                    break
-            receiver.close()
-            process.join(timeout=30)
-            if payload is None:
-                # No result crossed the pipe: the child was terminated (or
-                # crashed).  Surface the token's verdict so the scheduler
-                # records the right outcome.
-                if token.reason == TIMEOUT or token.expired:
-                    resolve(lambda: future.set_exception(SearchTimeout()))
-                elif token.cancelled:
-                    resolve(lambda: future.set_exception(SearchCancelled()))
-                else:
-                    resolve(
-                        lambda: future.set_exception(
-                            RuntimeError(
-                                "search worker died with exit code "
-                                f"{process.exitcode}"
-                            )
-                        )
-                    )
-                return
-            kind, value = payload
-            if kind == "ok":
-                resolve(lambda: future.set_result(value))
-            else:
-                resolve(lambda: future.set_exception(value))
-
-        watcher = threading.Thread(target=watch, daemon=True, name="repro-killer")
-        watcher.start()
-        return TaskHandle(future, kill=kill)
+        workers = [self._take_worker() for _ in range(self.workers)]
+        for worker in workers:
+            if worker is not None:
+                self._idle.put(worker)
+        for _ in workers:
+            self._run(int, (), None)  # the idle queue is FIFO: one per worker
 
     def describe(self) -> dict:
         payload = super().describe()
@@ -459,11 +341,14 @@ class ProcessBackend(WorkerBackend):
         return payload
 
     def close(self) -> None:
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-            self._closed = True  # submits after close error out, like threads
-        if executor is not None:
-            executor.shutdown(wait=True)
+        """Wait for running tasks, then stop every idle worker."""
+        super().close()
+        while True:
+            try:
+                worker = self._idle.get_nowait()
+            except queue.Empty:
+                return
+            _stop(worker, self._STOP_GRACE_SECONDS)
 
 
 def create_backend(name: Optional[str], workers: Optional[int] = None) -> WorkerBackend:

@@ -34,12 +34,12 @@ alone and the search keeps running for whoever still wants it.
 detaches that one waiter (other clients sharing the search are unaffected);
 cancelling the last waiter — or calling :meth:`ClassificationScheduler.cancel`
 with the key — cancels the flight: its token trips (the cooperative
-``inline``/``threads`` searches unwind at their next checkpoint), the backend
-handle is killed (a hard ``terminate()`` for deadline-carrying ``processes``
-searches), the key leaves the in-flight table so a later submission can retry
-fresh, and the outcome is recorded in the scheduler statistics as
-``cancelled``/``timeouts`` — **nothing is stored in the cache**, so an
-aborted search never poisons future lookups.
+``inline``/``threads`` searches unwind at their next checkpoint, and a
+``processes`` search's worker is terminated), a backend task that has not
+started is cancelled, the key leaves the in-flight table so a later
+submission can retry fresh, and the outcome is recorded in the scheduler
+statistics as ``cancelled``/``timeouts`` — **nothing is stored in the
+cache**, so an aborted search never poisons future lookups.
 
 A search whose cancellation is purely cooperative may keep a pool thread
 busy until its next checkpoint (a *zombie*); its slot is released logically
@@ -89,7 +89,7 @@ from ..engine.serialization import (
     result_to_dict,
 )
 from ..obs.trace import RequestTrace, STAGE_BACKEND, STAGE_KERNEL, STAGE_SCHEDULER
-from .backends import InlineBackend, TaskHandle, WorkerBackend
+from .backends import InlineBackend, WorkerBackend
 from .metrics import SearchTimeStats
 
 _SearchTask = Tuple[str, Dict[str, Any], Dict[str, str]]
@@ -220,10 +220,9 @@ class _Flight:
         "seq",
         "state",
         "waiters",
-        "handle",
+        "future",
         "slot_held",
         "outcome",
-        "killable",
     )
 
     def __init__(
@@ -236,13 +235,9 @@ class _Flight:
         self.seq = seq
         self.state = _QUEUED
         self.waiters: List[_Waiter] = []
-        self.handle: Optional[TaskHandle] = None
+        self.future: "Optional[Future[Any]]" = None  # the backend task, once dispatched
         self.slot_held = False
         self.outcome: Optional[str] = None  # completed/failed/cancelled/timeout
-        # Whether a hard-killing backend should run this search on a
-        # dedicated terminable worker (set when the creating submission
-        # carried a deadline — the case where reclaiming the worker matters).
-        self.killable = False
 
 
 @dataclass(frozen=True)
@@ -454,7 +449,6 @@ class ClassificationScheduler:
                     rank=rank,
                     seq=seq,
                 )
-                flight.killable = deadline is not None
                 waiter = _Waiter(flight, deadline_at, seq, trace)
                 flight.waiters.append(waiter)
                 self._in_flight[key] = flight
@@ -528,12 +522,7 @@ class ClassificationScheduler:
                     trace.end("queued")
                     trace.mark("admitted", STAGE_SCHEDULER)
                     trace.begin(
-                        "search",
-                        STAGE_BACKEND,
-                        attrs={
-                            "backend": self.backend.name,
-                            "killable": flight.killable,
-                        },
+                        "search", STAGE_BACKEND, attrs={"backend": self.backend.name}
                     )
                 self._dispatch(flight)
             with self._lock:
@@ -543,9 +532,7 @@ class ClassificationScheduler:
 
     def _dispatch(self, flight: _Flight) -> None:
         try:
-            handle = self.backend.submit_task(
-                self._task, flight.task, token=flight.token, killable=flight.killable
-            )
+            future = self.backend.submit_task(self._task, flight.task, token=flight.token)
         except BaseException as error:  # noqa: BLE001 - undo the reservation
             with self._lock:
                 if flight.slot_held:
@@ -566,15 +553,15 @@ class ClassificationScheduler:
                 if not waiter.future.done():
                     waiter.future.set_exception(error)
             return
-        flight.handle = handle
+        flight.future = future
         with self._lock:
             if flight.state != _SETTLED:
-                self._unsettled[flight.seq] = handle.future
+                self._unsettled[flight.seq] = future
         if flight.outcome is not None:
-            # Cancelled in the window before the handle existed: kill now so
-            # a hard-killable backend does not run the search to completion.
-            handle.kill()
-        handle.future.add_done_callback(
+            # Cancelled in the window before the future existed: stop the
+            # task if it has not started (a running one sees its token).
+            future.cancel()
+        future.add_done_callback(
             lambda done, flight=flight: self._on_backend_done(flight, done)
         )
 
@@ -582,7 +569,7 @@ class ClassificationScheduler:
         """Store the result, retire the flight, wake waiters, refill slots."""
         try:
             error = backend_future.exception()
-        except CancelledError as cancelled:  # killed while still pool-queued
+        except CancelledError as cancelled:  # cancelled while still pool-queued
             error = cancelled
         payload: Optional[Dict[str, Any]] = None
         if error is None:
@@ -670,10 +657,10 @@ class ClassificationScheduler:
         ``elapsed_seconds`` — the searches measure themselves already, so the
         pure decision-procedure time needs no new kernel plumbing.  The
         ``checkpoints`` attribute reads the flight token's poll counter (it
-        stays 0 for searches that ran inside a process backend's child, whose
-        token copy never crosses back).  The ``reply`` mark lands *before*
-        the waiter future resolves, so a client thread racing to
-        ``finish()`` the trace can never miss it.
+        stays 0 on ``processes``, whose workers search with no cancel
+        scope).  The ``reply`` mark lands *before* the waiter future
+        resolves, so a client thread racing to ``finish()`` the trace can
+        never miss it.
         """
         search_end = trace.now_ms()
         if payload is not None:
@@ -740,13 +727,14 @@ class ClassificationScheduler:
             elif flight.slot_held:
                 # Logical release: new work may dispatch immediately.  The
                 # physical worker frees itself at the search's next
-                # checkpoint (cooperative) or via the kill below (processes).
+                # checkpoint (cooperative) or when its pool thread sees the
+                # token and terminates it (processes).
                 flight.slot_held = False
                 self._slots_used -= 1
             waiters, flight.waiters = flight.waiters, []
         flight.token.cancel(reason)
-        if flight.handle is not None:
-            flight.handle.kill()
+        if flight.future is not None:
+            flight.future.cancel()  # stops only a task that has not started
         error_type = SearchTimeout if reason == TIMEOUT else SearchCancelled
         for waiter in waiters:
             if not waiter.future.done():

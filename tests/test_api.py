@@ -496,8 +496,8 @@ class TestWarmBudget:
             assert summary["interrupted"] == 1
 
     def test_budget_stops_searches_on_processes(self):
-        """A budgeted search runs on its own killable process, so it stops at
-        the budget instead of occupying a pool worker afterwards."""
+        """A budget cut terminates the search's worker process, so the search
+        stops at the budget instead of occupying the worker afterwards."""
         with connect("local://processes?workers=2") as session:
             summary = session.warm(
                 problems=[hard_problem(12), hard_problem(13)], budget=0.5

@@ -64,15 +64,6 @@ class TestCancelToken:
         assert issubclass(SearchTimeout, SearchInterrupted)
         assert issubclass(SearchInterrupted, RuntimeError)
 
-    def test_multiprocessing_event_works_as_flag(self):
-        import multiprocessing
-
-        flag = multiprocessing.Event()
-        token = CancelToken(flag=flag)
-        token.check()
-        flag.set()
-        assert token.cancelled
-
 
 class TestCancelScope:
     def test_checkpoint_without_scope_is_a_no_op(self):

@@ -2,6 +2,8 @@
 scheduler, priority ordering, deadlines, cancellation, and slot accounting."""
 
 import json
+import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -47,12 +49,12 @@ def _boom(_value):
 class TestBackends:
     def test_inline_resolves_synchronously(self):
         backend = InlineBackend()
-        future = backend.submit(_square, 7)
+        future = backend.submit_task(_square, 7)
         assert future.done()
         assert future.result() == 49
 
     def test_inline_captures_exceptions_in_the_future(self):
-        future = InlineBackend().submit(_boom, 0)
+        future = InlineBackend().submit_task(_boom, 0)
         assert future.done()
         with pytest.raises(RuntimeError, match="boom"):
             future.result()
@@ -73,12 +75,12 @@ class TestBackends:
             return "b"
 
         with ThreadBackend(workers=2) as backend:
-            futures = [backend.submit(task_a), backend.submit(task_b)]
+            futures = [backend.submit_task(task_a), backend.submit_task(task_b)]
             assert [future.result(timeout=10) for future in futures] == ["a", "b"]
 
     def test_process_backend_round_trip(self):
         with ProcessBackend(workers=2) as backend:
-            futures = [backend.submit(_square, value) for value in range(5)]
+            futures = [backend.submit_task(_square, value) for value in range(5)]
             assert [future.result(timeout=60) for future in futures] == [
                 0, 1, 4, 9, 16,
             ]
@@ -86,7 +88,7 @@ class TestBackends:
     def test_process_backend_propagates_task_errors(self):
         with ProcessBackend(workers=1) as backend:
             with pytest.raises(RuntimeError, match="boom"):
-                backend.submit(_boom, 0).result(timeout=60)
+                backend.submit_task(_boom, 0).result(timeout=60)
 
     def test_create_backend_spellings(self):
         assert create_backend(None).name == "inline"
@@ -109,11 +111,14 @@ class TestBackends:
             ThreadBackend(workers=0)
 
     def test_probe_spawns_the_pool_eagerly(self):
-        backend = ProcessBackend(workers=1)
-        assert backend._executor is None  # lazy until probed
+        before = set(multiprocessing.active_children())
+        backend = ProcessBackend(workers=2)
+        assert set(multiprocessing.active_children()) == before  # lazy
         backend.probe()
-        assert backend._executor is not None or backend.degraded
+        started = set(multiprocessing.active_children()) - before
+        assert len(started) == 2 or backend.degraded
         backend.close()
+        assert not started & set(multiprocessing.active_children())
         InlineBackend().probe()  # a no-op everywhere else
         thread_backend = ThreadBackend(workers=1)
         thread_backend.probe()
@@ -121,10 +126,10 @@ class TestBackends:
 
     def test_process_backend_rejects_submits_after_close(self):
         backend = ProcessBackend(workers=1)
-        assert backend.submit(_square, 2).result(timeout=60) == 4
+        assert backend.submit_task(_square, 2).result(timeout=60) == 4
         backend.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            backend.submit(_square, 2)
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            backend.submit_task(_square, 2)
 
     def test_describe_reports_configuration(self):
         backend = ThreadBackend(workers=2)
@@ -640,27 +645,40 @@ class TestDeadlinesAndCancellation:
         assert scheduler.stats.timeouts == 0  # no *flight* timed out
         assert scheduler.cache.peek(form.key) is not None
 
-    def test_process_backend_routes_unkillable_tasks_through_the_pool(self):
-        """Only deadline-marked searches pay for a dedicated process; plain
-        ones keep the warm pool (code-review regression)."""
-        from repro.workers import CancelToken
-
+    def test_cancel_frees_the_process_worker_of_a_search_without_deadline(
+        self, caplog
+    ):
+        """Cancelling a running search that has no deadline and never
+        checkpoints terminates its worker: the next key does not wait the
+        search out, and no late result trips over the cancelled future."""
         backend = ProcessBackend(workers=1)
         backend.probe()
         if backend.degraded:  # pragma: no cover - sandboxed environments
             backend.close()
             pytest.skip("process pool unavailable in this environment")
         try:
-            pooled = backend.submit_task(_square, 4, token=CancelToken())
-            assert pooled._kill is None  # pool path: no dedicated process
-            assert pooled.future.result(timeout=60) == 16
-            dedicated = backend.submit_task(
-                _square, 5, token=CancelToken(), killable=True
-            )
-            assert dedicated._kill is not None  # hard-killable path
-            assert dedicated.future.result(timeout=60) == 25
+            with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+                scheduler = ClassificationScheduler(
+                    backend=backend, task=_stubborn_on_three_labels
+                )
+                stubborn = scheduler.submit(_form(seed=11, labels=3))
+                time.sleep(0.3)  # the sleeper is running on the only worker
+                assert scheduler.slots_in_use == 1
+                assert stubborn.cancel() is True
+                start = time.monotonic()
+                after = scheduler.submit(_form(seed=11))
+                assert after.result(timeout=2)["complexity"] == "CONSTANT"
+                assert time.monotonic() - start < 2.0
+                assert scheduler.wait_idle(timeout=2)
+                assert scheduler.slots_in_use == 0
         finally:
             backend.close()
+        assert scheduler.stats.cancelled == 1
+        assert not [
+            record
+            for record in caplog.records
+            if record.name == "concurrent.futures" and record.levelno >= logging.ERROR
+        ]
 
     def test_classify_many_does_not_count_timed_out_duplicates_as_hits(self):
         """A duplicate of an orbit whose search timed out produced no answer
@@ -792,6 +810,14 @@ class TestDeadlinesAndCancellation:
 def _stubborn_sleeper(payload):
     """Module-level (picklable) search that sleeps without checkpointing."""
     time.sleep(30)
+    return payload[0], {"complexity": "CONSTANT"}
+
+
+def _stubborn_on_three_labels(payload):
+    """Sleeps like :func:`_stubborn_sleeper` on a 3-label problem; answers
+    any other at once."""
+    if len(payload[1]["labels"]) == 3:
+        return _stubborn_sleeper(payload)
     return payload[0], {"complexity": "CONSTANT"}
 
 
