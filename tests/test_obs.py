@@ -228,6 +228,186 @@ class TestMetricsParity:
 
 
 # ----------------------------------------------------------------------
+# The metrics contract: every family, and the stats field behind it
+# ----------------------------------------------------------------------
+# (name, type, help) of every family, in exposition order.
+FAMILIES = [
+    ("repro_batch_full_searches_total", "counter",
+     "Full decision procedures actually run (the non-amortized work)."),
+    ("repro_batch_submitted_total", "counter",
+     "Problems submitted to the batch engine."),
+    ("repro_cache_backend_info", "gauge",
+     "The cache's durable backend, as a constant info gauge."),
+    ("repro_cache_dirty_entries", "gauge",
+     "Keys (upserts + deletions) awaiting a write-behind flush."),
+    ("repro_cache_entries", "gauge",
+     "Entries currently held by the classification cache."),
+    ("repro_cache_evictions_total", "counter",
+     "Entries evicted by the cache's LRU budget."),
+    ("repro_cache_expirations_total", "counter",
+     "Entries dropped because they outlived the cache TTL."),
+    ("repro_cache_flushed_entries_total", "counter",
+     "Entries written by write-behind flushes and full snapshots."),
+    ("repro_cache_flushes_total", "counter",
+     "Write-behind flushes and full snapshots persisted to the backend."),
+    ("repro_cache_hits_total", "counter",
+     "Classification cache lookups answered from the cache."),
+    ("repro_cache_max_entries", "gauge",
+     "The cache's LRU budget (NaN when unbounded)."),
+    ("repro_cache_misses_total", "counter",
+     "Classification cache lookups that missed."),
+    ("repro_scheduler_flights_total", "counter",
+     "Scheduler flights that reached each terminal outcome."),
+    ("repro_scheduler_in_flight", "gauge",
+     "Searches currently queued or running."),
+    ("repro_scheduler_queued", "gauge",
+     "Searches waiting in the priority heap (admitted ones excluded)."),
+    ("repro_scheduler_slots_in_use", "gauge",
+     "Worker slots currently held by dispatched searches."),
+    ("repro_scheduler_submissions_total", "counter",
+     "Scheduler submissions by how they were answered (scheduled / shared / hit)."),
+    ("repro_scheduler_workers", "gauge",
+     "The scheduler's admission limit (worker pool size)."),
+    ("repro_search_duration_ms", "histogram",
+     "Completed certificate-search durations in milliseconds."),
+    ("repro_service_requests_total", "counter",
+     "Requests served by this session or service front door."),
+    ("repro_service_uptime_seconds", "gauge",
+     "Seconds since this session or service opened."),
+    ("repro_trace_enabled", "gauge",
+     "Whether request tracing is enabled (1) or disabled (0)."),
+    ("repro_trace_finished_total", "counter",
+     "Finished request traces by terminal outcome."),
+]
+
+# The stats field behind each family that has one unlabeled sample.
+UNLABELED_FIELDS = {
+    "repro_batch_full_searches_total": ("batch", "full_searches"),
+    "repro_batch_submitted_total": ("batch", "submitted"),
+    "repro_cache_dirty_entries": ("cache", "dirty"),
+    "repro_cache_entries": ("cache", "entries"),
+    "repro_cache_evictions_total": ("cache", "evictions"),
+    "repro_cache_expirations_total": ("cache", "expirations"),
+    "repro_cache_flushed_entries_total": ("cache", "flushed_entries"),
+    "repro_cache_flushes_total": ("cache", "flushes"),
+    "repro_cache_hits_total": ("cache", "hits"),
+    "repro_cache_max_entries": ("cache", "max_entries"),
+    "repro_cache_misses_total": ("cache", "misses"),
+    "repro_scheduler_in_flight": ("workers", "in_flight"),
+    "repro_scheduler_queued": ("workers", "queued"),
+    "repro_scheduler_slots_in_use": ("workers", "slots_in_use"),
+    "repro_scheduler_workers": ("workers", "workers"),
+    "repro_service_requests_total": ("service", "requests_served"),
+    "repro_service_uptime_seconds": ("service", "uptime_seconds"),
+}
+
+# Every labeled sample: (label key, label value, stats section, field).
+LABELED_FIELDS = {
+    "repro_scheduler_flights_total": [
+        ("outcome", "completed", "workers", "completed"),
+        ("outcome", "failed", "workers", "failed"),
+        ("outcome", "cancelled", "workers", "cancelled"),
+        ("outcome", "timeout", "workers", "timeouts"),
+    ],
+    "repro_scheduler_submissions_total": [
+        ("kind", "scheduled", "workers", "flights"),
+        ("kind", "shared", "workers", "deduped"),
+        ("kind", "hit", "workers", "cache_hits"),
+    ],
+}
+
+BUCKET_LES = [
+    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
+    1_000.0, 2_000.0, 5_000.0, 10_000.0, 30_000.0, 60_000.0, None,
+]
+
+CONTRACT_ENDPOINTS = ("local://inline", "local://threads?workers=2", "tcp")
+
+
+def _wait_idle(session):
+    """Poll ``stats()`` until no search is queued, running or holding a slot."""
+    for _ in range(400):
+        workers = session.stats()["workers"]
+        if workers["in_flight"] == 0 and workers["slots_in_use"] == 0:
+            return
+        threading.Event().wait(0.025)
+    raise AssertionError("the engine never went idle")
+
+
+class TestMetricsContract:
+    """Pins every family of ``metrics()`` to the ``stats()`` field it reports."""
+
+    @pytest.mark.parametrize("endpoint", CONTRACT_ENDPOINTS)
+    def test_every_family_reports_its_stats_field(self, endpoint, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "mem")
+        if endpoint == "tcp":
+            with ThreadedService() as (host, port):
+                with connect(f"tcp://{host}:{port}") as session:
+                    self._check(session, remote=True)
+        else:
+            with connect(endpoint) as session:
+                self._check(session, remote=False)
+
+    def _check(self, session, remote):
+        assert session.classify(EASY).ok
+        assert session.classify(EASY).from_cache
+        assert session.classify("a : b b\nb : a a").from_cache  # a renaming
+        assert session.classify("1 : 1 1").ok
+        assert len(list(session.census(labels=2, count=6, seed=0))) == 6
+        outcome = session.classify(hard_problem(12), deadline=0.2)
+        assert outcome.outcome == "timeout"
+        _wait_idle(session)
+
+        stats = session.stats()
+        snapshot = session.metrics()
+        families = snapshot["families"]
+        assert snapshot["schema"] == "repro.metrics/1"
+        assert [(f["name"], f["type"], f["help"]) for f in families] == FAMILIES
+        by_name = {family["name"]: family["samples"] for family in families}
+
+        for name, (section, field) in UNLABELED_FIELDS.items():
+            [sample] = by_name[name]
+            assert sample["labels"] == {}, name
+            expected = stats[section][field]
+            if name == "repro_service_requests_total" and remote:
+                expected += 1  # the service counts the `metrics` request too
+            if name == "repro_service_uptime_seconds":
+                assert expected <= sample["value"] < expected + 60
+            else:
+                assert sample["value"] == expected, name
+
+        for name, rows in LABELED_FIELDS.items():
+            assert [
+                (sample["labels"], sample["value"]) for sample in by_name[name]
+            ] == [
+                ({key: value}, stats[section][field])
+                for key, value, section, field in rows
+            ], name
+        assert stats["workers"]["timeouts"] >= 1
+
+        assert by_name["repro_cache_backend_info"] == [
+            {"labels": {"backend": stats["cache"]["backend"]}, "value": 1}
+        ]
+        assert by_name["repro_trace_enabled"] == [{"labels": {}, "value": 1}]
+        outcomes = stats["trace"]["outcomes"]
+        assert by_name["repro_trace_finished_total"] == [
+            {"labels": {"outcome": outcome}, "value": outcomes.get(outcome, 0)}
+            for outcome in ("ok", "timeout", "cancelled", "error")
+        ]
+        assert outcomes["ok"] >= 1 and outcomes["timeout"] == 1
+
+        search_times = stats["workers"]["search_times"]
+        [histogram] = by_name["repro_search_duration_ms"]
+        assert histogram["labels"] == {}
+        assert [le for le, _count in histogram["buckets"]] == BUCKET_LES
+        assert {le: count for le, count in histogram["buckets"] if count} == {
+            bucket["le_ms"]: bucket["count"] for bucket in search_times["buckets"]
+        }
+        assert histogram["count"] == search_times["count"] >= 2
+        assert histogram["sum"] == search_times["total_ms"]
+
+
+# ----------------------------------------------------------------------
 # Trace span completeness
 # ----------------------------------------------------------------------
 def assert_closed_tree(document, outcome):
