@@ -19,10 +19,10 @@ trajectory file is ``BENCH_gates.json`` at the repo root (schema
     ``local://inline`` under three configurations:
 
     * ``obs_off``: ``?obs=0``, the observability layer is not wired up at
-      all (no request ids, no registry, no tracer).  The baseline.
-    * ``obs_on``: ``REPRO_TRACE`` unset, the shipping default.  Request ids
-      are minted and the registry exists, but the tracer is disabled, so
-      every per-request trace branch is dead.
+      all (no request ids, no metrics, no tracer).  The baseline.
+    * ``obs_on``: ``REPRO_TRACE`` unset, the shipping default.  ``metrics()``
+      answers (a scrape renders ``stats()``; nothing is kept per request),
+      but the tracer is disabled, so every per-request trace branch is dead.
     * ``traced``: ``REPRO_TRACE=mem``, full span recording to the in-memory
       ring.  Reported for context, not gated: tracing is opt-in.
 

@@ -37,8 +37,8 @@ the *server* when the endpoint is handed to ``repro serve``):
 
 All modes accept ``priority`` and ``deadline`` (seconds) as session-wide
 scheduling defaults, and ``obs=0`` to bypass the observability layer
-(request ids, metrics registry, tracer) entirely.  Anything unrecognized
-raises
+(request ids, the tracer, the ``metrics`` and ``trace`` operations)
+entirely.  Anything unrecognized raises
 :class:`~repro.api.errors.EndpointError` — a typo in an endpoint should
 never be silently ignored.
 """
@@ -110,10 +110,11 @@ class SessionConfig:
         Session-wide scheduling defaults applied when a call does not pass
         its own ``priority``/``deadline``.
     obs:
-        Whether the observability layer (request ids, the metrics registry,
-        the env-gated tracer) is wired up at all.  ``obs=False`` (``?obs=0``)
-        bypasses it completely — the baseline configuration the
-        ``obs`` overhead gate of ``benchmarks/bench_gates.py`` compares against.  Note tracing
+        Whether the observability layer (request ids, the env-gated
+        tracer, the ``metrics`` and ``trace`` operations) is wired up at
+        all.  ``obs=False`` (``?obs=0``) bypasses it completely — the
+        baseline configuration the ``obs`` overhead gate of
+        ``benchmarks/bench_gates.py`` compares against.  Note tracing
         itself is additionally opt-in via ``REPRO_TRACE`` even when ``True``.
     """
 

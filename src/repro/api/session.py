@@ -18,14 +18,15 @@ fields on every endpoint, and every failure raises the unified
 :mod:`repro.api.errors` hierarchy; the endpoint parity tests assert both.
 
 Two interchangeable drivers implement the surface.  :class:`LocalDriver`
-owns the worker backend, the single-flight scheduler, the cache, the tracer
-and the metrics registry; ``_RemoteDriver`` builds each call's wire params
-and sends them through a :class:`~repro.service.client.ServiceClient`
-connection, which only frames them.  The service
-on the other end of that connection hosts a :class:`LocalDriver` of its own
-and validates requests with the functions below (:func:`resolve_problem`,
-:func:`census_problems`, :func:`validate_priority`), so a remote request
-runs the local path and fails with literally the same error.
+owns the worker backend, the single-flight scheduler, the cache and the
+tracer, and renders its metrics from its own stats; ``_RemoteDriver``
+builds each call's wire params and sends them through a
+:class:`~repro.service.client.ServiceClient` connection, which only frames
+them.  The service on the other end of that connection hosts a
+:class:`LocalDriver` of its own and validates requests with the functions
+below (:func:`resolve_problem`, :func:`census_problems`,
+:func:`validate_priority`), so a remote request runs the local path and
+fails with literally the same error.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ..engine import batch
 from ..engine.batch import OUTCOME_TIMEOUT, BatchStats, PendingClassification
 from ..engine.cache import ClassificationCache
 from ..engine.serialization import problem_from_dict, problem_to_dict
-from ..obs import build_registry, render_prometheus
+from ..obs import metrics_snapshot, render_prometheus
 from ..obs.trace import DISABLED_TRACER, RequestTrace, Tracer
 from ..problems.random_problems import random_problem
 from ..workers.backends import create_backend
@@ -110,7 +111,9 @@ def validate_census_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate a census parameter object; return its normalized echo form.
 
     Sessions apply it before any dispatch, and the service's ``census``/
-    ``warm`` handlers apply it through :func:`census_problems`.
+    ``warm`` handlers apply it through :func:`census_problems`, so an
+    out-of-range parameter is a :class:`RequestError` (``bad-request``)
+    with one message on every endpoint.
     """
     try:
         labels = int(params.get("labels", 2))
@@ -120,6 +123,12 @@ def validate_census_params(params: Mapping[str, Any]) -> Dict[str, Any]:
         seed = int(params.get("seed", 0))
     except (TypeError, ValueError) as error:
         raise RequestError(f"bad census parameter: {error}") from error
+    if labels < 1:
+        raise RequestError("census requires labels >= 1")
+    if delta < 1:
+        raise RequestError("census requires delta >= 1")
+    if not 0.0 <= density <= 1.0:
+        raise RequestError("census requires density in [0, 1]")
     if count < 1:
         raise RequestError("census requires count >= 1")
     return {
@@ -323,9 +332,9 @@ class LocalDriver:
 
     Owns the worker backend the config names, the
     :class:`~repro.workers.scheduler.ClassificationScheduler` running
-    searches on it, the cache, the env-gated tracer, and the metrics
-    registry built by :func:`~repro.obs.build_registry`.  A ``local://``
-    session calls it directly;
+    searches on it, the cache and the env-gated tracer; :meth:`metrics`
+    renders :meth:`stats` (:func:`~repro.obs.metrics_snapshot`).  A
+    ``local://`` session calls it directly;
     :class:`~repro.service.server.ClassificationService` hosts one and only
     translates frames into calls on it.  Every classification goes through
     :func:`repro.engine.batch.submit`.
@@ -346,14 +355,13 @@ class LocalDriver:
         )
         self.batch_stats = BatchStats()
         self._batch_lock = threading.Lock()
-        # `obs=0` skips the tracer and the registry; `self.tracer.start()`
+        # `obs=0` skips the tracer and the metrics; `self.tracer.start()`
         # then returns None and every trace branch below is dead.
         self._obs = config.obs
         self.tracer = Tracer.from_env() if config.obs else DISABLED_TRACER
         self.requests_served = 0
         self._served_lock = threading.Lock()
         self.started_at = time.monotonic()
-        self.registry = build_registry(self) if config.obs else None
 
     def count_request(self) -> None:
         with self._served_lock:
@@ -516,19 +524,19 @@ class LocalDriver:
             payload["trace"] = self.tracer.as_dict()
         return payload
 
-    def metrics(self) -> Dict[str, Any]:
-        if self.registry is None:
-            raise UnsupportedOperationError(
-                "observability is disabled on this session (obs=0)"
-            )
-        snapshot = self.registry.snapshot()
-        return {"snapshot": snapshot, "text": render_prometheus(snapshot)}
-
-    def trace(self, request_id: Any) -> Dict[str, Any]:
+    def _require_obs(self) -> None:
         if not self._obs:
             raise UnsupportedOperationError(
                 "observability is disabled on this session (obs=0)"
             )
+
+    def metrics(self) -> Dict[str, Any]:
+        self._require_obs()
+        snapshot = metrics_snapshot(self.stats())
+        return {"snapshot": snapshot, "text": render_prometheus(snapshot)}
+
+    def trace(self, request_id: Any) -> Dict[str, Any]:
+        self._require_obs()
         document = self.tracer.get(request_id)
         return {
             "request_id": request_id,
@@ -1020,10 +1028,10 @@ class ClassificationSession:
     def metrics(self) -> Dict[str, Any]:
         """The engine's metrics as a ``repro.metrics/1`` snapshot.
 
-        Local and remote sessions expose the *same* metric families (names,
-        types, labels) because both registries are built by the same
-        :func:`repro.obs.build_registry` — the parity tests assert the
-        fingerprints are equal.  Raises
+        A rendering of the engine's :meth:`stats` payload by
+        :func:`repro.obs.metrics_snapshot` (on a remote session, the
+        server's), so the two always agree, and local and remote sessions
+        expose the *same* metric families (names, types, labels).  Raises
         :class:`~repro.api.errors.UnsupportedOperationError` on a local
         session opened with ``obs=0``.
         """

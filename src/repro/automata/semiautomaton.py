@@ -81,12 +81,6 @@ class PathAutomaton:
         """Adjacency mapping suitable for the :mod:`repro.automata.scc` helpers."""
         return {state: sorted(targets) for state, targets in self._successors.items()}
 
-    def restricted_to(self, states: Iterable[Label]) -> "PathAutomaton":
-        """The sub-automaton induced by ``states``."""
-        keep = frozenset(states) & self.states
-        edges = [(s, t) for (s, t) in self.edges() if s in keep and t in keep]
-        return PathAutomaton(keep, edges)
-
     # ------------------------------------------------------------------
     # SCCs and absorbing subgraphs
     # ------------------------------------------------------------------
@@ -195,18 +189,6 @@ class PathAutomaton:
     # ------------------------------------------------------------------
     # Walks
     # ------------------------------------------------------------------
-    def has_walk(self, source: Label, target: Label, length: int) -> bool:
-        """Whether a walk of exactly ``length`` steps exists from ``source`` to ``target``."""
-        current: Set[Label] = {source}
-        for _ in range(length):
-            nxt: Set[Label] = set()
-            for node in current:
-                nxt |= self._successors.get(node, set())
-            current = nxt
-            if not current:
-                return False
-        return target in current
-
     def find_walk(self, source: Label, target: Label, length: int) -> Optional[List[Label]]:
         """Return a walk ``[source, ..., target]`` with exactly ``length`` edges, or ``None``.
 
@@ -236,37 +218,6 @@ class PathAutomaton:
             walk.append(next_state)
             current = next_state
         return walk
-
-    def shortest_walk_length(self, source: Label, target: Label) -> Optional[int]:
-        """Length of the shortest walk from ``source`` to ``target`` (``0`` if equal)."""
-        if source == target:
-            return 0
-        visited = {source}
-        frontier = [source]
-        distance = 0
-        while frontier:
-            distance += 1
-            nxt: List[Label] = []
-            for node in frontier:
-                for successor in self._successors.get(node, set()):
-                    if successor == target:
-                        return distance
-                    if successor not in visited:
-                        visited.add(successor)
-                        nxt.append(successor)
-            frontier = nxt
-        return None
-
-    def universal_walk_threshold(self) -> int:
-        """A length ``K`` such that walks of every length ``>= K`` exist between all state pairs.
-
-        Only meaningful when the automaton is strongly connected with all states
-        flexible (e.g. the automaton of a path-flexible certificate problem,
-        Lemma 5.5): then ``K = max flexibility + |states|`` suffices, because one
-        can first move to the target in fewer than ``|states|`` steps and then pad
-        with a returning walk.
-        """
-        return self.max_flexibility() + len(self.states)
 
     def __repr__(self) -> str:  # pragma: no cover - convenience
         return (

@@ -8,20 +8,20 @@ Two cooperating pieces (see ``docs/observability.md``):
   switched on by ``REPRO_TRACE``.  Disabled by default; the disabled path's
   overhead on the warm classify hot path is pinned by the ``obs`` gate of
   ``benchmarks/bench_gates.py``.
-* :mod:`repro.obs.metrics` — one pull-based registry unifying the cache,
-  batch, scheduler, search-time and service counters (``repro.metrics/1``)
-  with Prometheus text exposition, surfaced by
+* :mod:`repro.obs.metrics` — the ``repro.metrics/1`` snapshot of the
+  cache, batch, scheduler, search-time and service counters, with
+  Prometheus text exposition, surfaced by
   ``ClassificationSession.metrics()``, the protocol-v3 ``metrics``
   operation, and the ``repro metrics`` CLI.
 
-:mod:`repro.obs.collectors` holds the single registry builder both the
-local session and the remote service use — metrics parity by construction.
+:func:`repro.obs.collectors.metrics_snapshot` builds that snapshot from an
+engine's own ``stats()`` payload, on the local session and the remote
+service alike: ``repro metrics`` is a rendering of ``repro stats``.
 """
 
-from .collectors import build_registry
+from .collectors import metrics_snapshot
 from .metrics import (
     METRICS_SCHEMA,
-    MetricsRegistry,
     metric_names_and_types,
     render_prometheus,
 )
@@ -39,15 +39,14 @@ from .trace import (
 __all__ = [
     "DISABLED_TRACER",
     "METRICS_SCHEMA",
-    "MetricsRegistry",
     "RequestTrace",
     "STAGES",
     "Span",
     "TRACE_ENV",
     "TRACE_SCHEMA",
     "Tracer",
-    "build_registry",
     "metric_names_and_types",
+    "metrics_snapshot",
     "new_request_id",
     "render_prometheus",
 ]

@@ -1,13 +1,13 @@
-"""One metrics registry over every existing counter, with text exposition.
+"""The ``repro.metrics/1`` snapshot shape and its Prometheus text rendering.
 
 The engine already counts everything that matters — cache hits
 (:class:`~repro.engine.cache.CacheStats`), scheduler flight outcomes
 (:class:`~repro.workers.scheduler.SchedulerStats`), search durations
 (:class:`~repro.workers.metrics.SearchTimeStats`), service request tallies —
-but each behind its own ad-hoc stats dict.  This module unifies them behind
-a *pull-based* :class:`MetricsRegistry`: collectors are registered once and
-read the live objects only when a snapshot is requested, so the request hot
-path pays nothing for the registry existing.
+and reports it all in one ``stats()`` payload.  A metrics snapshot is a
+rendering of that payload (:func:`repro.obs.collectors.metrics_snapshot`),
+built only when a caller asks for one, so the request path pays nothing
+for it.
 
 A snapshot is the ``repro.metrics/1`` document::
 
@@ -28,8 +28,7 @@ rather than tested-by-luck (the parity test pins it anyway).
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, List, Mapping, Tuple
 
 METRICS_SCHEMA = "repro.metrics/1"
 """Schema identifier carried by every metrics snapshot."""
@@ -37,9 +36,6 @@ METRICS_SCHEMA = "repro.metrics/1"
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
-METRIC_TYPES = (COUNTER, GAUGE, HISTOGRAM)
-
-_Collect = Callable[[], List[Dict[str, Any]]]
 
 
 def escape_label_value(value: str) -> str:
@@ -75,69 +71,13 @@ def _format_labels(labels: Mapping[str, Any]) -> str:
     return "{" + inner + "}"
 
 
-class MetricsRegistry:
-    """Named metric families backed by live collector callables.
-
-    ``register(name, type, help, collect)`` attaches a zero-argument callable
-    returning that family's current samples; :meth:`snapshot` invokes every
-    collector and assembles the ``repro.metrics/1`` document with families
-    sorted by name (stable output, diffable exposition).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._families: Dict[str, Tuple[str, str, _Collect]] = {}
-
-    def register(
-        self, name: str, metric_type: str, help_text: str, collect: _Collect
-    ) -> None:
-        if metric_type not in METRIC_TYPES:
-            raise ValueError(
-                f"unknown metric type {metric_type!r} (known: {', '.join(METRIC_TYPES)})"
-            )
-        if metric_type == COUNTER and not name.endswith("_total"):
-            raise ValueError(f"counter {name!r} must end in '_total'")
-        with self._lock:
-            if name in self._families:
-                raise ValueError(f"metric {name!r} already registered")
-            self._families[name] = (metric_type, help_text, collect)
-
-    def counter(self, name: str, help_text: str, value: Callable[[], Any]) -> None:
-        """Register a single unlabeled counter reading ``value()``."""
-        self.register(
-            name, COUNTER, help_text, lambda: [{"labels": {}, "value": value()}]
-        )
-
-    def gauge(self, name: str, help_text: str, value: Callable[[], Any]) -> None:
-        """Register a single unlabeled gauge reading ``value()``."""
-        self.register(
-            name, GAUGE, help_text, lambda: [{"labels": {}, "value": value()}]
-        )
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The ``repro.metrics/1`` document of every family, collected now."""
-        with self._lock:
-            families = sorted(self._families.items())
-        payload: List[Dict[str, Any]] = []
-        for name, (metric_type, help_text, collect) in families:
-            payload.append(
-                {
-                    "name": name,
-                    "type": metric_type,
-                    "help": help_text,
-                    "samples": collect(),
-                }
-            )
-        return {"schema": METRICS_SCHEMA, "families": payload}
-
-
 def render_prometheus(snapshot: Mapping[str, Any]) -> str:
     """Render one metrics snapshot as Prometheus text exposition format.
 
     Histograms expose cumulative ``<name>_bucket{le="..."}`` series (the
     snapshot's per-bucket counts are accumulated here), a closing
     ``le="+Inf"`` bucket equal to ``_count``, and ``_sum``/``_count``
-    series.  Counters keep their registered ``_total`` names.
+    series.  Counters keep their ``_total`` names.
     """
     lines: List[str] = []
     for family in snapshot.get("families", []):
@@ -190,8 +130,6 @@ __all__ = [
     "GAUGE",
     "HISTOGRAM",
     "METRICS_SCHEMA",
-    "METRIC_TYPES",
-    "MetricsRegistry",
     "escape_label_value",
     "metric_names_and_types",
     "render_prometheus",

@@ -382,15 +382,6 @@ class Tracer:
             trace = self._by_id.get(request_id)
         return trace.as_dict() if trace is not None else None
 
-    @property
-    def finished(self) -> int:
-        with self._lock:
-            return self._finished_count
-
-    def outcome_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._outcomes)
-
     def as_dict(self) -> Dict[str, Any]:
         """The ``trace`` stats section: config, tallies, slow exemplars."""
         with self._lock:

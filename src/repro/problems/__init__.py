@@ -1,7 +1,7 @@
 """Problem catalog and random problem generators."""
 
 from .adversarial import hard_problem
-from .pools import distinct_forms, seeded_problems
+from .pools import distinct_forms
 from .catalog import (
     branch_two_coloring,
     catalog,
@@ -41,7 +41,6 @@ __all__ = [
     "random_problem",
     "random_problem_stream",
     "sample_problems",
-    "seeded_problems",
     "three_coloring",
     "trivial_problem",
     "two_coloring",

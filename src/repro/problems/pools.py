@@ -54,17 +54,4 @@ def distinct_forms(
     return forms
 
 
-def seeded_problems(count, labels=2, density=0.5, seed=0):
-    """A plain seeded problem list (duplicates allowed), census-style draws.
-
-    Matches the ``seed + index`` scheme of the census generators, so a pool
-    built here equals the problems a census with the same parameters
-    classifies.
-    """
-    return [
-        random_problem(labels, density=density, seed=seed + index)
-        for index in range(count)
-    ]
-
-
-__all__ = ["distinct_forms", "seeded_problems"]
+__all__ = ["distinct_forms"]

@@ -2,9 +2,8 @@
 
 :class:`ClassificationService` hosts one :class:`~repro.api.session.LocalDriver`
 — the engine a ``local://`` session runs: the shared cache, the
-single-flight scheduler, the tracer, and the metrics registry — and only
-translates the JSON-lines frames of :mod:`repro.service.protocol` into calls
-on it.  Problems are resolved by :func:`~repro.api.session.resolve_problem`,
+single-flight scheduler and the tracer — and only translates the
+JSON-lines frames of :mod:`repro.service.protocol` into calls on it.  Problems are resolved by :func:`~repro.api.session.resolve_problem`,
 censuses generated by :func:`~repro.api.session.census_problems`, priorities
 checked by :func:`~repro.api.session.validate_priority`, and summaries
 computed by :func:`~repro.api.outcome.summarize_outcomes`, exactly as for a

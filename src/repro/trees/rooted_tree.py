@@ -118,15 +118,6 @@ class RootedTree:
         """The height of the tree (length of the longest root-to-leaf path)."""
         return max(self.depths()) if self.num_nodes else 0
 
-    def subtree_sizes(self) -> List[int]:
-        """Number of nodes in the subtree rooted at every node."""
-        sizes = [1] * self.num_nodes
-        for node in reversed(self.bfs_order()):
-            parent = self.parent[node]
-            if parent is not None:
-                sizes[parent] += sizes[node]
-        return sizes
-
     def bfs_order(self) -> List[int]:
         """Nodes in breadth-first order starting at the root."""
         order: List[int] = [self.root]
@@ -172,20 +163,6 @@ class RootedTree:
             current = stack.pop()
             result.append(current)
             stack.extend(self.children[current])
-        return result
-
-    def nodes_within_distance_below(self, node: int, distance: int) -> List[int]:
-        """Descendants of ``node`` within the given distance (excluding ``node``)."""
-        result: List[int] = []
-        frontier = list(self.children[node])
-        depth = 1
-        while frontier and depth <= distance:
-            result.extend(frontier)
-            next_frontier: List[int] = []
-            for current in frontier:
-                next_frontier.extend(self.children[current])
-            frontier = next_frontier
-            depth += 1
         return result
 
     def port_of(self, node: int) -> int:

@@ -111,25 +111,6 @@ class SearchTimeStats:
                     return self._max_ms if bound == float("inf") else bound
             return self._max_ms  # pragma: no cover - cumulative covers count
 
-    def export(self) -> Dict[str, Any]:
-        """The raw histogram for metrics exposition, in one lock acquisition.
-
-        Unlike :meth:`as_dict` (which drops empty buckets for compact stats
-        frames), this returns **every** bucket as ``[le_ms, count]`` pairs
-        (``le_ms`` is ``None`` for the open-ended bucket) plus the exact sum
-        and count — the shape :mod:`repro.obs.metrics` renders as a
-        Prometheus histogram.
-        """
-        with self._lock:
-            return {
-                "buckets": [
-                    [None if bound == float("inf") else bound, count]
-                    for bound, count in zip(BUCKET_BOUNDS_MS, self._counts)
-                ],
-                "sum_ms": self._total_ms,
-                "count": self._count,
-            }
-
     def as_dict(self) -> Dict[str, Any]:
         """The ``search_times`` stats section (JSON-friendly, O(buckets))."""
         with self._lock:

@@ -798,22 +798,6 @@ class ClassificationScheduler:
         with self._lock:
             return self._slots_used
 
-    def _gauges_locked(self) -> Dict[str, int]:
-        in_flight = len(self._in_flight)
-        running = sum(
-            1 for flight in self._in_flight.values() if flight.state == _RUNNING
-        )
-        return {
-            "in_flight": in_flight,
-            "queued": in_flight - running,
-            "slots_in_use": self._slots_used,
-        }
-
-    def gauges(self) -> Dict[str, int]:
-        """The live occupancy gauges, read in one lock acquisition."""
-        with self._lock:
-            return self._gauges_locked()
-
     def stats_payload(self) -> Dict[str, Any]:
         """Live scheduler + backend report (the ``workers`` stats section).
 
@@ -826,12 +810,17 @@ class ClassificationScheduler:
         """
         with self._lock:
             counters = self.stats.as_dict()
-            gauges = self._gauges_locked()
+            in_flight = len(self._in_flight)
+            running = sum(
+                1 for flight in self._in_flight.values() if flight.state == _RUNNING
+            )
+            slots = self._slots_used
         workers = self.backend.workers
         payload = self.backend.describe()
         payload.update(counters)
-        payload.update(gauges)
-        slots = gauges["slots_in_use"]
+        payload["in_flight"] = in_flight
+        payload["queued"] = in_flight - running
+        payload["slots_in_use"] = slots
         payload["utilization"] = min(1.0, slots / workers) if workers else 0.0
         payload["priorities"] = list(PRIORITIES)
         payload["search_times"] = self.search_times.as_dict()

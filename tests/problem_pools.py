@@ -10,6 +10,6 @@ same pools through every endpoint kind, and the loadgen differential tests
 (``test_loadgen_parity.py``) replay seeded workload streams built on them.
 """
 
-from repro.problems.pools import distinct_forms, seeded_problems
+from repro.problems.pools import distinct_forms
 
-__all__ = ["distinct_forms", "seeded_problems"]
+__all__ = ["distinct_forms"]

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from problem_pools import distinct_forms, seeded_problems
+from problem_pools import distinct_forms
 from repro.api import (
     ClassificationCancelled,
     ClassificationSession,
@@ -25,6 +25,7 @@ from repro.api import (
     connect,
     parse_endpoint,
 )
+from repro.api.session import census_problems
 from repro.engine import batch
 from repro.problems import hard_problem
 from repro.service.server import ThreadedService
@@ -112,7 +113,8 @@ class TestEndpointParsing:
 class TestOutcomeShape:
     def test_payload_round_trip(self):
         with ClassificationScheduler() as scheduler:
-            item = batch.submit(scheduler, seeded_problems(1, labels=2)[0]).result()
+            [problem] = census_problems({"labels": 2, "count": 1})[0]
+            item = batch.submit(scheduler, problem).result()
         outcome = Outcome.from_batch_item(item)
         rebuilt = Outcome.from_payload(outcome.as_dict())
         assert rebuilt.as_dict() == outcome.as_dict()
@@ -152,7 +154,7 @@ class TestLocalSession:
         assert outcome.ok and outcome.complexity == "n^Theta(1)"
 
     def test_classify_many_preserves_order_and_amortizes(self):
-        problems = seeded_problems(12, labels=2)
+        problems = census_problems({"labels": 2, "count": 12})[0]
         with connect("local://inline") as session:
             outcomes = list(session.classify_many(problems))
             stats = session.stats()
@@ -168,7 +170,7 @@ class TestLocalSession:
             manual = [
                 o.complexity
                 for o in session.classify_many(
-                    seeded_problems(10, labels=2, seed=3)
+                    census_problems({"labels": 2, "count": 10, "seed": 3})[0]
                 )
             ]
         assert census == manual
@@ -240,7 +242,7 @@ class TestEndpointParity:
     def problem_set(self):
         # Duplicate-heavy two-label draws plus a few three-label orbits from
         # the fuzz harness's pool: broad class coverage, bounded runtime.
-        problems = seeded_problems(14, labels=2)
+        problems = census_problems({"labels": 2, "count": 14})[0]
         problems += [form.problem for form in distinct_forms(4)]
         return problems
 
@@ -429,7 +431,7 @@ class TestSearchTimeStats:
 # ----------------------------------------------------------------------
 class TestWarmBudget:
     def test_budget_cancels_unfinished_sweep(self):
-        easy = seeded_problems(4, labels=2)
+        easy = census_problems({"labels": 2, "count": 4})[0]
         with connect("local://threads?workers=2") as session:
             summary = session.warm(
                 problems=easy + [hard_problem(12)], budget=0.8
@@ -593,6 +595,27 @@ class TestRemoteSubmit:
             with pytest.raises(RequestError):
                 list(session.census(count=-1))
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"count": 3, "density": 2.0}, "census requires density in [0, 1]"),
+            ({"count": 3, "delta": 0}, "census requires delta >= 1"),
+            ({"count": 3, "labels": 0}, "census requires labels >= 1"),
+        ],
+    )
+    def test_out_of_range_census_is_a_bad_request_everywhere(self, params, message):
+        errors = []
+        with ThreadedService() as (host, port):
+            for endpoint in ("local://inline", f"tcp://{host}:{port}"):
+                with connect(endpoint) as session:
+                    with pytest.raises(RequestError) as info:
+                        list(session.census(**params))
+                    errors.append(str(info.value))
+                    with pytest.raises(RequestError) as info:
+                        session.warm(census=params)
+                    errors.append(str(info.value))
+        assert errors == [f"bad-request: {message}"] * 4
+
 
 # ----------------------------------------------------------------------
 # Review regressions: stream re-entrancy and wait-timeout semantics
@@ -601,7 +624,8 @@ class TestStreamGuards:
     def test_nested_call_during_remote_stream_raises_not_hangs(self):
         with ThreadedService(backend="threads", workers=2) as (host, port):
             with connect(f"tcp://{host}:{port}") as session:
-                stream = session.classify_many(seeded_problems(4, labels=2))
+                problems = census_problems({"labels": 2, "count": 4})[0]
+                stream = session.classify_many(problems)
                 first = next(stream)
                 assert first.ok
                 with pytest.raises(RequestError) as info:

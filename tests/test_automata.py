@@ -135,25 +135,6 @@ class TestPathAutomaton:
         automaton = automaton_of(two_coloring())
         assert automaton.find_walk("1", "1", 3) is None
 
-    def test_has_walk_consistent_with_find_walk(self):
-        automaton = automaton_of(maximal_independent_set())
-        for length in range(1, 6):
-            for source in automaton.states:
-                for target in automaton.states:
-                    assert automaton.has_walk(source, target, length) == (
-                        automaton.find_walk(source, target, length) is not None
-                    )
-
-    def test_shortest_walk_length(self):
-        automaton = automaton_of(maximal_independent_set())
-        assert automaton.shortest_walk_length("1", "1") == 0
-        assert automaton.shortest_walk_length("a", "1") == 2  # a -> b -> 1
-
-    def test_restricted_automaton(self):
-        automaton = automaton_of(three_coloring()).restricted_to({"1", "2"})
-        assert automaton.states == frozenset({"1", "2"})
-        assert automaton.successors("1") == frozenset({"2"})
-
     def test_minimal_absorbing_states(self):
         automaton = automaton_of(three_coloring())
         assert automaton.minimal_absorbing_states() == frozenset({"1", "2", "3"})
@@ -166,11 +147,3 @@ class TestPathAutomaton:
         assert is_path_flexible_problem(three_coloring())
         assert not is_path_flexible_problem(two_coloring())
         assert not is_path_flexible_problem(figure2_combined_problem())
-
-    def test_universal_walk_threshold(self):
-        automaton = automaton_of(three_coloring())
-        threshold = automaton.universal_walk_threshold()
-        for length in range(threshold, threshold + 4):
-            for source in automaton.states:
-                for target in automaton.states:
-                    assert automaton.has_walk(source, target, length)

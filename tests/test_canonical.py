@@ -20,9 +20,8 @@ from math import factorial
 import pytest
 
 from canonical_oracle import reference_form, signature_groups
-from problem_pools import seeded_problems
 from repro.api import SessionConfig, connect
-from repro.api.session import LocalDriver
+from repro.api.session import LocalDriver, census_problems
 from repro.core.cancellation import (
     CancelToken,
     SearchCancelled,
@@ -92,9 +91,9 @@ POOLS = {
         f"delta2-{labels}labels": [
             problem
             for density in (0.3, 0.6)
-            for problem in seeded_problems(
-                5, labels=labels, density=density, seed=40 * labels
-            )
+            for problem in census_problems(
+                {"labels": labels, "density": density, "count": 5, "seed": 40 * labels}
+            )[0]
         ]
         for labels in range(2, 7)
     },

@@ -123,6 +123,14 @@ def test_census_plain_output(capsys):
     assert "full search(es)" in output
 
 
+@pytest.mark.parametrize("endpoint", [[], ["--endpoint", "stdio:"]])
+def test_out_of_range_census_is_a_bad_request(capsys, endpoint):
+    assert main(["census", "--density", "2", "--count", "3", *endpoint]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad-request: census requires density in [0, 1]\n"
+    )
+
+
 def test_cache_max_entries_bounds_the_cache_file(tmp_path, capsys):
     cache_file = tmp_path / "cache.json"
     assert (

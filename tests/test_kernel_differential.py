@@ -24,6 +24,7 @@ import itertools
 
 import pytest
 
+from repro.api.session import census_problems
 from repro.core import classify_with_certificates, kernel_override
 from repro.core.constant_certificate import find_constant_certificate_builder
 from repro.core.kernel import BITMASK, KERNELS, REFERENCE, active_kernel
@@ -35,7 +36,7 @@ from repro.core.logstar_certificate import (
 from repro.core.problem import LCLProblem
 from repro.problems.adversarial import hard_problem
 from repro.problems.catalog import catalog
-from repro.problems.pools import distinct_forms, seeded_problems
+from repro.problems.pools import distinct_forms
 
 
 def _assert_same_classification(problem: LCLProblem) -> None:
@@ -141,15 +142,24 @@ class TestSeededPools:
             _assert_same_classification(form.problem)
 
     def test_two_label_census_draws_agree(self):
-        for problem in seeded_problems(40, labels=2, density=0.5, seed=0):
+        problems, _echo = census_problems(
+            {"labels": 2, "density": 0.5, "count": 40, "seed": 0}
+        )
+        for problem in problems:
             _assert_same_builders(problem)
 
     def test_three_label_sparse_draws_agree(self):
-        for problem in seeded_problems(25, labels=3, density=0.2, seed=500):
+        problems, _echo = census_problems(
+            {"labels": 3, "density": 0.2, "count": 25, "seed": 500}
+        )
+        for problem in problems:
             _assert_same_classification(problem)
 
     def test_four_label_draws_agree(self):
-        for problem in seeded_problems(10, labels=4, density=0.25, seed=900):
+        problems, _echo = census_problems(
+            {"labels": 4, "density": 0.25, "count": 10, "seed": 900}
+        )
+        for problem in problems:
             _assert_same_classification(problem)
 
 

@@ -1,7 +1,7 @@
-"""Tests for the observability layer: metrics registry, Prometheus text
-exposition, request tracing (span completeness on every backend and outcome),
-local-vs-remote metrics parity, remote cancel over the wire, and the atomic
-scheduler stats snapshot."""
+"""Tests for the observability layer: the metrics snapshot and the stats
+field behind each family, Prometheus text exposition, request tracing (span
+completeness on every backend and outcome), local-vs-remote metrics parity,
+remote cancel over the wire, and atomic stats and metrics snapshots."""
 
 import json
 import re
@@ -14,8 +14,8 @@ from repro.api.config import parse_endpoint
 from repro.api.errors import EndpointError, UnsupportedOperationError
 from repro.engine import batch
 from repro.obs import (
-    MetricsRegistry,
     metric_names_and_types,
+    metrics_snapshot,
     render_prometheus,
 )
 from repro.obs.metrics import escape_label_value
@@ -28,7 +28,7 @@ from repro.obs.trace import (
 from repro.problems import hard_problem
 from repro.service import ServiceClient, ThreadedService
 from repro.workers import ClassificationScheduler, InlineBackend, ThreadBackend
-from repro.workers.metrics import SearchTimeStats
+from repro.workers.metrics import BUCKET_BOUNDS_MS, SearchTimeStats
 
 EASY = "1 : 2 2\n2 : 1 1"
 
@@ -141,33 +141,35 @@ class TestPrometheusExposition:
                 assert after[key] >= value, f"counter {key} decreased"
 
     def test_counter_names_must_end_in_total(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.register(
-                "repro_bogus", "counter", "a counter without the suffix",
-                lambda: [],
-            )
-
-    def test_duplicate_family_rejected(self):
-        registry = MetricsRegistry()
-        registry.register("repro_x_total", "counter", "x", lambda: [])
-        with pytest.raises(ValueError):
-            registry.register("repro_x_total", "counter", "x again", lambda: [])
+        with connect("local://inline") as session:
+            families = session.metrics()["families"]
+        counters = [
+            family["name"] for family in families if family["type"] == "counter"
+        ]
+        assert counters
+        assert [name for name in counters if not name.endswith("_total")] == []
 
     def test_label_values_are_escaped(self):
         assert escape_label_value('a"b') == 'a\\"b'
         assert escape_label_value("a\\b") == "a\\\\b"
         assert escape_label_value("a\nb") == "a\\nb"
-        registry = MetricsRegistry()
-        registry.register(
-            "repro_escape_test",
-            "gauge",
-            "label escaping probe",
-            lambda: [
-                {"labels": {"path": 'we"ird\\name\nwith everything'}, "value": 1}
+        snapshot = {
+            "schema": "repro.metrics/1",
+            "families": [
+                {
+                    "name": "repro_escape_test",
+                    "type": "gauge",
+                    "help": "label escaping probe",
+                    "samples": [
+                        {
+                            "labels": {"path": 'we"ird\\name\nwith everything'},
+                            "value": 1,
+                        }
+                    ],
+                }
             ],
-        )
-        text = render_prometheus(registry.snapshot())
+        }
+        text = render_prometheus(snapshot)
         line = [l for l in text.splitlines() if l.startswith("repro_escape_test{")]
         assert line == [
             'repro_escape_test{path="we\\"ird\\\\name\\nwith everything"} 1'
@@ -177,7 +179,7 @@ class TestPrometheusExposition:
 
 
 # ----------------------------------------------------------------------
-# Parity: one registry builder, every endpoint
+# Parity: one snapshot function, every endpoint
 # ----------------------------------------------------------------------
 class TestMetricsParity:
     def test_local_and_remote_expose_identical_families(self, monkeypatch):
@@ -474,7 +476,7 @@ class TestTraceCompleteness:
         trace.finish("error")
         document = tracer.get(trace.request_id)
         assert_closed_tree(document, "error")
-        assert tracer.outcome_counts() == {"error": 1}
+        assert tracer.as_dict()["outcomes"] == {"error": 1}
 
     def test_finish_is_idempotent(self):
         tracer = Tracer(enabled=True)
@@ -482,7 +484,7 @@ class TestTraceCompleteness:
         trace.finish("ok")
         trace.finish("cancelled")  # a zombie settling late: discarded
         assert tracer.get(trace.request_id)["outcome"] == "ok"
-        assert tracer.finished == 1
+        assert tracer.as_dict()["finished"] == 1
 
     def test_request_ids_are_unique(self):
         ids = {new_request_id() for _ in range(100)}
@@ -514,7 +516,7 @@ class TestTracerRetention:
         assert tracer.get(traces[1].request_id) is not None
         assert tracer.get(traces[2].request_id) is not None
         assert tracer.as_dict()["retained"] == 2
-        assert tracer.finished == 3
+        assert tracer.as_dict()["finished"] == 3
 
     def test_slow_exemplars_keep_top_k(self):
         tracer = Tracer(enabled=True, slow_threshold_ms=0.0, slow_kept=2)
@@ -657,23 +659,78 @@ class TestAtomicStats:
         finally:
             scheduler.close()
 
+    def test_metrics_snapshots_never_tear_under_load(self):
+        from repro.problems.random_problems import random_problem
+
+        problems = [random_problem(3, density=0.3, seed=seed) for seed in range(150)]
+        violations, scrapes = [], []
+        stop = threading.Event()
+        with connect("local://threads?workers=4") as session:
+
+            def scraper():
+                while not stop.is_set():
+                    samples = {
+                        family["name"]: family["samples"]
+                        for family in session.metrics()["families"]
+                    }
+                    finished = sum(
+                        sample["value"]
+                        for sample in samples["repro_scheduler_flights_total"]
+                    )
+                    [scheduled] = [
+                        sample["value"]
+                        for sample in samples["repro_scheduler_submissions_total"]
+                        if sample["labels"] == {"kind": "scheduled"}
+                    ]
+                    in_flight = samples["repro_scheduler_in_flight"][0]["value"]
+                    # Every flight created is finished or still in flight.
+                    if not finished <= scheduled <= finished + in_flight:
+                        violations.append((scheduled, finished, in_flight))
+                    scrapes.append(None)
+
+            threads = [threading.Thread(target=scraper) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            try:
+                outcomes = list(session.classify_many(problems))
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join()
+        assert len(outcomes) == len(problems)
+        assert scrapes, "no snapshot was taken"
+        assert not violations, (
+            f"{len(violations)} torn snapshots of {len(scrapes)}: {violations[:3]}"
+        )
+
     def test_gauges_come_from_one_lock_acquisition(self):
+        # `stats_payload` reads the gauges in the lock that guards the counters.
         with ClassificationScheduler(backend=InlineBackend()) as scheduler:
-            gauges = scheduler.gauges()
-            assert set(gauges) >= {"in_flight", "queued", "slots_in_use"}
+            payload = scheduler.stats_payload()
+            assert set(payload) >= {"in_flight", "queued", "slots_in_use"}
 
 
 # ----------------------------------------------------------------------
-# SearchTimeStats raw export
+# The search-time histogram, exported as a metrics family
 # ----------------------------------------------------------------------
 class TestSearchTimeExport:
     def test_export_shape_and_totals(self):
-        stats = SearchTimeStats()
-        stats.record("key-a", 0.005)
-        stats.record("key-b", 0.050)
-        exported = stats.export()
-        assert exported["count"] == 2
-        assert exported["sum_ms"] == pytest.approx(55.0)
-        les = [le for le, _count in exported["buckets"]]
+        times = SearchTimeStats()
+        times.record("key-a", 0.005)
+        times.record("key-b", 0.050)
+        with connect("local://inline") as session:
+            stats = session.stats()
+        stats["workers"]["search_times"] = times.as_dict()
+        [family] = [
+            family
+            for family in metrics_snapshot(stats)["families"]
+            if family["name"] == "repro_search_duration_ms"
+        ]
+        [sample] = family["samples"]
+        assert sample["count"] == 2
+        assert sample["sum"] == pytest.approx(55.0)
+        # The stats section lists two buckets; the family lists every bound.
+        les = [le for le, _count in sample["buckets"]]
+        assert len(les) == len(BUCKET_BOUNDS_MS)
         assert les[-1] is None, "last bucket must be open-ended"
-        assert sum(count for _le, count in exported["buckets"]) == 2
+        assert sum(count for _le, count in sample["buckets"]) == 2

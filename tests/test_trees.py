@@ -34,11 +34,6 @@ class TestRootedTree:
         assert tree.height() == 3
         assert max(depths) == 3
 
-    def test_subtree_sizes(self):
-        tree = complete_tree(2, 2)
-        sizes = tree.subtree_sizes()
-        assert sizes[tree.root] == 7
-
     def test_leaves_and_internal(self):
         tree = complete_tree(2, 3)
         assert len(tree.leaves()) == 8
@@ -85,10 +80,6 @@ class TestRootedTree:
         tree = complete_tree(2, 2)
         child = tree.children[tree.root][0]
         assert len(tree.descendants(child)) == 2
-
-    def test_nodes_within_distance_below(self):
-        tree = complete_tree(2, 3)
-        assert len(tree.nodes_within_distance_below(tree.root, 2)) == 6
 
 
 class TestGenerators:

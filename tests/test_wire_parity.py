@@ -70,6 +70,16 @@ ERROR_CASES = [
         ("census", {"count": 0}),
         lambda session: session.census(count=0),
     ),
+    (
+        "census density 2",
+        ("census", {"count": 3, "density": 2.0}),
+        lambda session: session.census(count=3, density=2.0),
+    ),
+    (
+        "warm census delta 0",
+        ("warm", {"census": {"count": 3, "delta": 0}}),
+        lambda session: session.warm(census={"count": 3, "delta": 0}),
+    ),
 ]
 
 
@@ -92,6 +102,7 @@ class TestWireErrorParity:
         assert local["non-text non-object spec"][0] == "bad-problem"
         assert local["unknown priority"][0] == "bad-request"
         assert local["census count 0"] == ("bad-request", "census requires count >= 1")
+        assert local["census density 2"][0] == "bad-request"
 
 
 @pytest.fixture(params=["local://inline", "tcp", "stdio:"])
