@@ -13,11 +13,10 @@ from .scc import (
     component_period,
     is_strongly_connected,
     minimal_absorbing_subgraph,
-    reachable_from,
     sink_components,
     strongly_connected_components,
 )
-from .semiautomaton import PathAutomaton, Transition
+from .semiautomaton import PathAutomaton
 from .flexibility import (
     automaton_of,
     is_path_flexible_problem,
@@ -28,7 +27,6 @@ from .flexibility import (
 
 __all__ = [
     "PathAutomaton",
-    "Transition",
     "automaton_of",
     "condensation",
     "component_has_edge",
@@ -39,7 +37,6 @@ __all__ = [
     "minimal_absorbing_subgraph",
     "path_flexible_labels",
     "path_inflexible_labels",
-    "reachable_from",
     "sink_components",
     "strongly_connected_components",
 ]

@@ -172,18 +172,3 @@ def is_strongly_connected(graph: Graph) -> bool:
     if not adjacency:
         return True
     return len(strongly_connected_components(adjacency)) == 1
-
-
-def reachable_from(graph: Graph, sources: Iterable[Node]) -> FrozenSet[Node]:
-    """All nodes reachable from ``sources`` (including the sources themselves)."""
-    adjacency = normalize_graph(graph)
-    seen: Set[Node] = set()
-    stack: List[Node] = [node for node in sources if node in adjacency]
-    seen.update(stack)
-    while stack:
-        node = stack.pop()
-        for successor in adjacency.get(node, ()):
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return frozenset(seen)

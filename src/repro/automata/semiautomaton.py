@@ -17,7 +17,6 @@ This module implements the automaton together with:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import scc as scc_module
@@ -27,14 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
 
 Label = str
 """Automaton states are LCL labels (plain strings); kept free of core imports."""
-
-
-@dataclass(frozen=True)
-class Transition:
-    """A single automaton transition ``source -> target``."""
-
-    source: Label
-    target: Label
 
 
 class PathAutomaton:

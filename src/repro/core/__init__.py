@@ -9,9 +9,9 @@ from .cancellation import (
     checkpoint,
     current_token,
 )
-from .configuration import Configuration, Label, configuration, configurations_from_pairs
+from .configuration import Configuration, Label, configuration
 from .problem import LCLError, LCLProblem
-from .parser import format_problem, parse_configuration, parse_problem, parse_problem_lines
+from .parser import format_problem, parse_configuration, parse_problem
 from .complexity import ClassificationResult, ComplexityClass
 from .log_certificate import (
     LogCertificate,
@@ -81,7 +81,6 @@ __all__ = [
     "classify_with_certificates",
     "complexity_of",
     "configuration",
-    "configurations_from_pairs",
     "current_token",
     "find_certificate_builder",
     "find_constant_certificate_builder",
@@ -94,7 +93,6 @@ __all__ = [
     "kernel_override",
     "parse_configuration",
     "parse_problem",
-    "parse_problem_lines",
     "problem_encoding",
     "remove_path_inflexible_configurations",
 ]

@@ -11,7 +11,7 @@ hashable and comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 Label = str
 """Type alias for node labels.  Labels are short strings such as ``"1"`` or ``"a"``."""
@@ -78,10 +78,3 @@ class Configuration:
 def configuration(parent: Label, *children: Label) -> Configuration:
     """Convenience constructor: ``configuration("1", "2", "3")``."""
     return Configuration(parent, children)
-
-
-def configurations_from_pairs(
-    pairs: Iterable[Tuple[Label, Sequence[Label]]]
-) -> frozenset:
-    """Build a frozenset of :class:`Configuration` from ``(parent, children)`` pairs."""
-    return frozenset(Configuration(parent, children) for parent, children in pairs)

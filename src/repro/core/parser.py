@@ -47,7 +47,7 @@ block is parsed with the grammar above.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, List, Optional, Sequence, Set
+from typing import AbstractSet, Iterable, List, Optional, Set
 
 from .configuration import Configuration, Label
 from .problem import LCLError, LCLProblem
@@ -155,13 +155,3 @@ def format_problem(problem: LCLProblem, compact: bool = False) -> str:
         else:
             lines.append(config.to_text())
     return "\n".join(lines)
-
-
-def parse_problem_lines(
-    lines: Sequence[str],
-    delta: Optional[int] = None,
-    labels: Optional[Iterable[Label]] = None,
-    name: str = "",
-) -> LCLProblem:
-    """Parse a problem given as a sequence of configuration lines."""
-    return parse_problem("\n".join(lines), delta=delta, labels=labels, name=name)

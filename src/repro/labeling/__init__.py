@@ -6,7 +6,6 @@ from .verifier import (
     Violation,
     assert_valid_labeling,
     is_valid_labeling,
-    labeling_uses_labels,
     verify_labeling,
 )
 from .brute_force import (
@@ -25,7 +24,6 @@ __all__ = [
     "count_solutions",
     "greedy_top_down_solve",
     "is_valid_labeling",
-    "labeling_uses_labels",
     "solvable_on_tree",
     "verify_labeling",
 ]

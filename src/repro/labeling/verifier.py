@@ -12,7 +12,7 @@ certificate-driven algorithm in the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.configuration import Configuration, Label
 from ..core.problem import LCLProblem
@@ -107,9 +107,3 @@ def assert_valid_labeling(
     if not report.valid:
         details = "; ".join(str(violation) for violation in report.violations[:5])
         raise AssertionError(f"invalid labeling for {problem.name or 'problem'}: {details}")
-
-
-def labeling_uses_labels(labeling: Mapping[int, Label], allowed: Sequence[Label]) -> bool:
-    """Whether the labeling uses only labels from ``allowed``."""
-    allowed_set = frozenset(allowed)
-    return all(label in allowed_set for label in labeling.values())

@@ -10,7 +10,6 @@ from .catalog import (
     hierarchical_two_and_half_coloring,
     maximal_independent_set,
     pi_k,
-    sample_problems,
     three_coloring,
     trivial_problem,
     two_coloring,
@@ -22,7 +21,6 @@ from .random_problems import (
     all_problems_with,
     num_possible_configurations,
     random_problem,
-    random_problem_stream,
 )
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "pi_k",
     "distinct_forms",
     "random_problem",
-    "random_problem_stream",
-    "sample_problems",
     "three_coloring",
     "trivial_problem",
     "two_coloring",

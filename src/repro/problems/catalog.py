@@ -251,13 +251,3 @@ def catalog() -> Dict[str, Tuple[LCLProblem, ComplexityClass]]:
         "unsolvable": (unsolvable_problem(), ComplexityClass.UNSOLVABLE),
     }
     return entries
-
-
-def sample_problems() -> List[LCLProblem]:
-    """The sample problems of the paper's introduction, in presentation order."""
-    return [
-        three_coloring(),
-        two_coloring(),
-        maximal_independent_set(),
-        branch_two_coloring(),
-    ]

@@ -59,26 +59,6 @@ def random_problem(
     )
 
 
-def random_problem_stream(
-    num_labels: int,
-    delta: int = 2,
-    density: float = 0.5,
-    seed: int = 0,
-) -> Iterator[LCLProblem]:
-    """An endless, reproducible stream of random problems."""
-    rng = random.Random(seed)
-    index = 0
-    while True:
-        index += 1
-        yield random_problem(
-            num_labels,
-            delta=delta,
-            density=density,
-            rng=rng,
-            name=f"random-{num_labels}-{delta}-{index}",
-        )
-
-
 def all_problems_with(num_labels: int, delta: int = 2) -> Iterator[LCLProblem]:
     """Enumerate *every* problem over the given alphabet (exponentially many).
 

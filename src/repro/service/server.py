@@ -23,9 +23,15 @@ are answered, followed by a terminal ``done`` frame with the request summary.
 All searches execute through the driver's single-flight
 :class:`~repro.workers.ClassificationScheduler` on a configurable worker
 backend (``--worker-backend inline|threads|processes``, ``--workers N``).
-Each problem is canonicalized and submitted on an executor thread; the
-scheduler's future is then awaited on the event loop, so no thread waits on
-a search and slow requests never starve the other connections.  A batch's
+On a pooled backend a problem that is cheap to canonicalize (at most
+:data:`ON_LOOP_MAX_LABELS` labels and :data:`ON_LOOP_MAX_OCCURRENCES` label
+occurrences) is canonicalized and submitted on the event loop itself, so a
+cache hit costs no thread hop; any other problem, and every problem on
+``inline``, is submitted on an executor thread.  The scheduler's future is
+then awaited on the event loop, so no thread waits on a search and slow
+requests never starve the other connections.  The loop yields once per
+request and once per streamed item, so a long batch or a pipelining client
+cannot hold it.  A batch's
 uncached representatives fan out across a pooled backend while its hits
 stream at once, independent problems from concurrent connections classify
 concurrently, and concurrent requests for the same uncached canonical key
@@ -72,6 +78,7 @@ from ..api.outcome import (
 )
 from ..api.session import (
     LocalDriver,
+    WarmSweep,
     census_problems,
     resolve_problem,
     validate_priority,
@@ -84,7 +91,7 @@ from ..engine.cache import ClassificationCache
 # bound: perfbench/layers.py wraps `problem_from_dict` at this attribute.
 from ..engine.serialization import problem_from_dict  # noqa: F401
 from ..obs.trace import RequestTrace, new_request_id
-from ..workers.backends import DEFAULT_WORKERS
+from ..workers.backends import DEFAULT_WORKERS, InlineBackend
 from .protocol import (
     ProtocolError,
     Request,
@@ -107,7 +114,35 @@ DEFAULT_CACHE_FLUSH_INTERVAL = 1.0
 DEFAULT_CACHE_FLUSH_MAX_DIRTY = 64
 """Pending dirty keys that trigger an immediate write-behind flush."""
 
+ON_LOOP_MAX_LABELS = 4
+"""Largest alphabet canonicalized on the event loop: at most 4! = 24 orders."""
+
+ON_LOOP_MAX_OCCURRENCES = 256
+"""Most label occurrences (configurations times ``delta + 1``) canonicalized
+on the event loop.  Within both bounds canonicalization takes under ~1 ms
+(0.84 ms at worst: 4 labels in one signature group, delta 3, 64
+configurations, on a 2-CPU host).  That is less than the interpreter's 5 ms
+switch interval, for which an executor thread holding the GIL can already
+stall the loop."""
+
 _SendFrame = Callable[[Dict[str, Any]], Awaitable[None]]
+
+
+def _cheap_to_canonicalize(problem: LCLProblem) -> bool:
+    """Whether ``problem`` is within the on-loop bounds above."""
+    return (
+        len(problem.labels) <= ON_LOOP_MAX_LABELS
+        and len(problem.configurations) * (problem.delta + 1)
+        <= ON_LOOP_MAX_OCCURRENCES
+    )
+
+
+def _resolve_all(specs: List[Any], name: str) -> List[LCLProblem]:
+    """Resolve every spec of a list request, named ``<name>#1``, ``#2``, ..."""
+    return [
+        resolve_problem(spec, default_name=f"{name}#{index + 1}")
+        for index, spec in enumerate(specs)
+    ]
 
 
 def _milliseconds(
@@ -217,7 +252,11 @@ class ClassificationService:
                 flush_max_dirty=DEFAULT_CACHE_FLUSH_MAX_DIRTY,
             )
         # Spawn pool workers now, so the first request does not pay for it.
-        self.driver.scheduler.backend.probe()
+        backend = self.driver.scheduler.backend
+        backend.probe()
+        # On a pooled backend a submission only hands a miss's search to the
+        # pool, so a cheap one may run on the loop; on `inline` it searches.
+        self._submits_on_loop = not isinstance(backend, InlineBackend)
         # In-flight requests addressable by `cancel`, keyed by request id.
         # Ids are client-chosen, so several connections may reuse one id;
         # cancel then targets all of them.  Only touched on the loop thread.
@@ -238,18 +277,28 @@ class ClassificationService:
         active: _ActiveRequest,
         trace: Optional[RequestTrace],
     ) -> PendingClassification:
-        """Canonicalize and submit one problem on an executor thread.
+        """Canonicalize and submit one problem, on the loop when that is cheap.
 
-        The hop keeps canonicalization, and on a synchronous backend the
-        search itself, off the event loop.  No global lock: the scheduler
-        single-flights per canonical key, so concurrent connections
-        classifying *different* problems proceed in parallel, and ones racing
-        on the *same* problem share one search.  The submission is tracked
-        on ``active`` at once, so a concurrent ``cancel`` can detach it.
+        On a pooled backend a problem within the on-loop bounds
+        (:func:`_cheap_to_canonicalize`) is submitted right here: its
+        canonicalization holds the loop for under a millisecond, less than
+        an executor round trip costs, and a miss only hands its search to
+        the pool.  Any other problem is submitted on an executor thread,
+        which keeps a long canonicalization, and on ``inline`` the search
+        itself, off the event loop.  An on-loop submission never suspends,
+        so the callers yield the loop after each response or item.  No
+        global lock: the scheduler single-flights per canonical key, so
+        concurrent connections classifying *different* problems proceed in
+        parallel, and ones racing on the *same* problem share one search.
+        The submission is tracked on ``active`` at once, so a concurrent
+        ``cancel`` can detach it.
         """
-        pending = await asyncio.get_running_loop().run_in_executor(
-            None, self.driver.submit_item, problem, priority, deadline, trace
-        )
+        if self._submits_on_loop and _cheap_to_canonicalize(problem):
+            pending = self.driver.submit_item(problem, priority, deadline, trace)
+        else:
+            pending = await asyncio.get_running_loop().run_in_executor(
+                None, self.driver.submit_item, problem, priority, deadline, trace
+            )
         active.track(pending)
         return pending
 
@@ -336,7 +385,9 @@ class ClassificationService:
         expired or cancelled keys stream as ``outcome: "timeout"``/
         ``"cancelled"`` items while the rest of the request completes.
         Problems reached after a ``cancel`` are not submitted: they stream
-        as ``cancelled`` with ``canonical_key: null``.
+        as ``cancelled`` with ``canonical_key: null``.  The loop yields after
+        each submission and after each item written once all are submitted,
+        since on-loop hits and a ready send would otherwise never suspend.
         """
         driver = self.driver
         # Per-item traces under sub-ids "<request id>.<seq>", so any item of
@@ -350,6 +401,13 @@ class ClassificationService:
             ]
         pendings: List[PendingClassification] = []
         outcomes: List[Outcome] = []
+
+        async def write_next() -> None:
+            seq = len(outcomes)
+            outcome = await self._resolve(pendings[seq], traces[seq])
+            await send(item_frame(request.id, seq, outcome.as_dict()))
+            outcomes.append(outcome)
+
         with self._track_active(request) as active:
             for problem, trace in zip(problems, traces):
                 if active.cancel_requested:
@@ -361,13 +419,12 @@ class ClassificationService:
                         problem, priority, deadline, active, trace
                     )
                 pendings.append(pending)
-                last = len(pendings) == len(problems)
-                seq = len(outcomes)
-                while seq < len(pendings) and (last or pendings[seq].done):
-                    outcome = await self._resolve(pendings[seq], traces[seq])
-                    await send(item_frame(request.id, seq, outcome.as_dict()))
-                    outcomes.append(outcome)
-                    seq += 1
+                while len(outcomes) < len(pendings) and pendings[len(outcomes)].done:
+                    await write_next()
+                await asyncio.sleep(0)
+            while len(outcomes) < len(pendings):
+                await write_next()
+                await asyncio.sleep(0)
         return outcomes
 
     async def _handle_classify_batch(self, request: Request, send: _SendFrame) -> None:
@@ -378,18 +435,21 @@ class ClassificationService:
             )
         priority, deadline = _request_options(request.params, "batch")
         # Resolve everything up front so malformed input yields one error
-        # frame instead of a half-finished stream.
-        problems = [
-            resolve_problem(spec, default_name=f"<request>#{index + 1}")
-            for index, spec in enumerate(specs)
-        ]
+        # frame instead of a half-finished stream; in one executor hop, as
+        # a long list would hold the loop.
+        problems = await asyncio.get_running_loop().run_in_executor(
+            None, _resolve_all, specs, "<request>"
+        )
         outcomes = await self._stream_items(request, problems, send, priority, deadline)
         summary = summarize_outcomes(outcomes)
         summary["stats"] = self.driver.stats()
         await send(done_frame(request.id, summary))
 
     async def _handle_census(self, request: Request, send: _SendFrame) -> None:
-        problems, echo_params = census_problems(request.params)
+        # `count` is unbounded, so the draws are made off the loop.
+        problems, echo_params = await asyncio.get_running_loop().run_in_executor(
+            None, census_problems, request.params
+        )
         # A census is bulk background work: it defaults to the lowest
         # priority class so interactive classifies overtake its fan-out.
         priority, deadline = _request_options(request.params, "warm")
@@ -405,14 +465,15 @@ class ClassificationService:
 
         ``params.problems`` (a list of problem specs) and/or ``params.census``
         (the census parameter object) name the workload.  One executor hop
-        runs :meth:`LocalDriver.start_warm`, which submits every problem
-        like a batch item.  With ``params.wait=true`` the scheduler futures
-        are then awaited on the loop and the response is sent once they
-        settle; otherwise it returns immediately and the cache fills (and
-        persists) in the background.  ``params.budget_ms`` is a wall-clock
-        budget for the whole sweep, applied as each submission's deadline
-        (it implies waiting).  The submissions are tracked, so ``cancel``
-        reaches a waiting warm by its request id.
+        resolves the problem list and runs :meth:`LocalDriver.start_warm`,
+        which submits every problem like a batch item.  With
+        ``params.wait=true`` the scheduler futures are then awaited on the
+        loop and the response is sent once they settle; otherwise it returns
+        immediately and the cache fills (and persists) in the background.
+        ``params.budget_ms`` is a wall-clock budget for the whole sweep,
+        applied as each submission's deadline (it implies waiting).  The
+        submissions are tracked, so ``cancel`` reaches a waiting warm by its
+        request id.
         """
         params = request.params
         specs = params.get("problems")
@@ -421,24 +482,20 @@ class ClassificationService:
         budget = _milliseconds(params, "budget_ms", positive=False)
         if specs is None and census is None:
             raise RequestError("warm requires params.problems or params.census")
-        problems: List[LCLProblem] = []
-        if specs is not None:
-            if not isinstance(specs, list) or not specs:
-                raise RequestError("warm params.problems must be a non-empty list")
-            problems = [
-                resolve_problem(spec, default_name=f"<warm>#{index + 1}")
-                for index, spec in enumerate(specs)
-            ]
-        if census is not None and not isinstance(census, dict):
-            raise RequestError("warm params.census must be an object")
+        if specs is not None and (not isinstance(specs, list) or not specs):
+            raise RequestError("warm params.problems must be a non-empty list")
         wait = bool(params.get("wait", False))
-        with self._track_active(request) as active:
-            sweep = await asyncio.get_running_loop().run_in_executor(
-                None,
-                lambda: self.driver.start_warm(
-                    problems, census, wait, priority, deadline, budget
-                ),
+
+        def start() -> WarmSweep:
+            problems = _resolve_all(specs, "<warm>") if specs is not None else []
+            if census is not None and not isinstance(census, dict):
+                raise RequestError("warm params.census must be an object")
+            return self.driver.start_warm(
+                problems, census, wait, priority, deadline, budget
             )
+
+        with self._track_active(request) as active:
+            sweep = await asyncio.get_running_loop().run_in_executor(None, start)
             for pending in sweep.pendings:
                 active.track(pending)
             if sweep.waited:
@@ -537,6 +594,9 @@ class ClassificationService:
             if not line:
                 continue
             await self._dispatch_line(line, send)
+            # Neither an on-loop hit nor a buffered next line suspends, so
+            # without this a pipelining client would hold the loop.
+            await asyncio.sleep(0)
 
     async def _dispatch_line(self, line: str, send: _SendFrame) -> None:
         """Validate and execute one request line, answering on ``send``."""

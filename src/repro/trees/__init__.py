@@ -1,14 +1,7 @@
 """Rooted-tree substrate: tree structures, generators and lower-bound constructions."""
 
 from .rooted_tree import RootedTree, TreeBuilder, TreeError
-from .generators import (
-    balanced_tree_with_size,
-    complete_tree,
-    hairy_path,
-    nearest_full_tree_size,
-    path_tree,
-    random_full_tree,
-)
+from .generators import complete_tree, hairy_path, random_full_tree
 from .lower_bound import (
     BipolarTree,
     concatenated_lower_bound_tree,
@@ -22,14 +15,11 @@ __all__ = [
     "RootedTree",
     "TreeBuilder",
     "TreeError",
-    "balanced_tree_with_size",
     "complete_tree",
     "concatenated_lower_bound_tree",
     "extend_bipolar",
     "hairy_path",
     "lower_bound_tree",
     "lower_bound_tree_size",
-    "nearest_full_tree_size",
-    "path_tree",
     "random_full_tree",
 ]

@@ -6,9 +6,7 @@ instance families used by the tests and benchmarks:
 
 * complete (perfectly balanced) trees,
 * hairy paths (Definition 4.11) — the hard instances for global problems,
-* random full trees grown by repeatedly expanding random leaves,
-* "as balanced as possible" trees of a prescribed size (used in the proofs of
-  Lemmas 6.4 and 6.7).
+* random full trees grown by repeatedly expanding random leaves.
 """
 
 from __future__ import annotations
@@ -83,44 +81,3 @@ def random_full_tree(
     return builder.build(
         metadata={"kind": "random-full", "delta": delta, "num_internal": num_internal}
     )
-
-
-def balanced_tree_with_size(delta: int, num_nodes: int) -> RootedTree:
-    """A full ``δ``-ary tree with exactly ``num_nodes`` nodes that is "as balanced as possible".
-
-    The node count must be of the form ``m * δ + 1``; internal nodes are expanded
-    in breadth-first order, which yields the balanced shape used in the proofs of
-    Section 6.
-    """
-    if num_nodes < 1 or (num_nodes - 1) % delta != 0:
-        raise TreeError(
-            f"a full {delta}-ary tree has m*{delta}+1 nodes; {num_nodes} is not of this form"
-        )
-    num_internal = (num_nodes - 1) // delta
-    builder = TreeBuilder()
-    root = builder.add_root()
-    frontier = [root]
-    created = 0
-    index = 0
-    pending: List[int] = [root]
-    while created < num_internal:
-        node = pending[index]
-        index += 1
-        children = builder.add_children(node, delta)
-        pending.extend(children)
-        created += 1
-    del frontier
-    return builder.build(metadata={"kind": "balanced", "delta": delta, "num_nodes": num_nodes})
-
-
-def path_tree(length: int) -> RootedTree:
-    """A directed path with ``length + 1`` nodes (a full 1-ary tree)."""
-    return complete_tree(1, length)
-
-
-def nearest_full_tree_size(delta: int, target: int) -> int:
-    """The smallest valid full-``δ``-ary node count that is at least ``target``."""
-    if target <= 1:
-        return 1
-    num_internal = (target - 2) // delta + 1
-    return num_internal * delta + 1

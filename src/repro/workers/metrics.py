@@ -84,11 +84,6 @@ class SearchTimeStats:
                     self._slowest[0] = (ms, key)
                     self._slowest.sort()
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
     def quantile_ms(self, q: float) -> Optional[float]:
         """The bucket upper bound covering the ``q`` quantile (None when empty).
 

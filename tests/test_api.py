@@ -346,18 +346,34 @@ class TestErrorParity:
         assert local == remote
 
     def test_timeout_outcome_and_error_parity(self):
-        problem = hard_problem(12)  # minutes of search; deadline far below
-        with connect("local://inline") as session:
-            local = session.classify(problem, deadline=0.2)
+        # (problem, deadline, whether it expires after canonicalization).
+        # hard_problem(12) takes minutes of search.  The 3-label problem's
+        # deadline expires while it is canonicalized, which the service does
+        # on its event loop, so there is no key yet.
+        cases = [
+            (hard_problem(12), 0.2, True),
+            ("1 : 2 3\n2 : 3 1\n3 : 1 2", 1e-9, False),
+        ]
         with ThreadedService(backend="threads", workers=2) as (host, port):
-            with connect(f"tcp://{host}:{port}") as session:
-                remote = session.classify(problem, deadline=0.2)
-        assert local.outcome == remote.outcome == "timeout"
-        assert local.canonical_key == remote.canonical_key
-        local_err = self._collect(local.require, ClassificationTimeout)
-        remote_err = self._collect(remote.require, ClassificationTimeout)
-        assert local_err == remote_err
-        assert local_err[1] == "timeout"
+            for problem, deadline, keyed in cases:
+                outcomes = []
+                for endpoint in (
+                    "local://inline",
+                    "local://threads?workers=2",
+                    f"tcp://{host}:{port}",
+                ):
+                    with connect(endpoint) as session:
+                        outcomes.append(session.classify(problem, deadline=deadline))
+                local, threads, remote = outcomes
+                assert [each.outcome for each in outcomes] == ["timeout"] * 3
+                assert local.canonical_key == threads.canonical_key == remote.canonical_key
+                assert (remote.canonical_key is not None) == keyed
+                local_err, threads_err, remote_err = (
+                    self._collect(each.require, ClassificationTimeout)
+                    for each in outcomes
+                )
+                assert local_err == threads_err == remote_err
+                assert local_err[1] == "timeout"
 
     def test_cancelled_outcome_raises_cancelled(self):
         outcome = Outcome(name="x", outcome="cancelled", canonical_key="k")

@@ -14,7 +14,7 @@ from repro.automata import (
     sink_components,
     strongly_connected_components,
 )
-from repro.automata.scc import component_has_edge, condensation, is_strongly_connected, reachable_from
+from repro.automata.scc import component_has_edge, condensation, is_strongly_connected
 from repro.problems import (
     branch_two_coloring,
     figure2_combined_problem,
@@ -75,10 +75,6 @@ class TestSCC:
     def test_is_strongly_connected(self):
         assert is_strongly_connected({"a": ["b"], "b": ["a"]})
         assert not is_strongly_connected({"a": ["b"], "b": []})
-
-    def test_reachable_from(self):
-        graph = {"a": ["b"], "b": ["c"], "c": [], "d": []}
-        assert reachable_from(graph, ["a"]) == frozenset({"a", "b", "c"})
 
 
 class TestPathAutomaton:

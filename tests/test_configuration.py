@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from repro.core.configuration import Configuration, configuration, configurations_from_pairs
+from repro.core.configuration import Configuration, configuration
 
 
 class TestCanonicalization:
@@ -64,11 +64,3 @@ class TestProperties:
 
     def test_to_text(self):
         assert configuration("1", "3", "2").to_text() == "1 : 2 3"
-
-
-class TestBulkConstruction:
-    def test_configurations_from_pairs(self):
-        configs = configurations_from_pairs([("1", ("2", "2")), ("2", ("1", "1"))])
-        assert configuration("1", "2", "2") in configs
-        assert configuration("2", "1", "1") in configs
-        assert len(configs) == 2

@@ -8,7 +8,6 @@ from repro.labeling import (
     count_solutions,
     greedy_top_down_solve,
     is_valid_labeling,
-    labeling_uses_labels,
     solvable_on_tree,
     verify_labeling,
 )
@@ -70,10 +69,6 @@ class TestVerifier:
         labeling = {v: "1" for v in tree.nodes()}
         with pytest.raises(AssertionError):
             assert_valid_labeling(two_coloring(), tree, labeling)
-
-    def test_labeling_uses_labels(self):
-        assert labeling_uses_labels({0: "a", 1: "b"}, ["a", "b"])
-        assert not labeling_uses_labels({0: "a", 1: "z"}, ["a", "b"])
 
 
 class TestBruteForce:

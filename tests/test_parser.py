@@ -10,7 +10,6 @@ from repro.core import (
     parse_configuration,
     parse_problem,
 )
-from repro.core.parser import parse_problem_lines
 from repro.problems import maximal_independent_set, three_coloring
 
 
@@ -69,8 +68,8 @@ class TestProblemParsing:
         assert problem.configurations == three_coloring().configurations
 
     def test_mis_from_lines(self):
-        problem = parse_problem_lines(
-            ["1 : a a", "1 : a b", "1 : b b", "a : b b", "b : b 1", "b : 1 1"]
+        problem = parse_problem(
+            "\n".join(["1 : a a", "1 : a b", "1 : b b", "a : b b", "b : b 1", "b : 1 1"])
         )
         assert problem.configurations == maximal_independent_set().configurations
 

@@ -8,7 +8,6 @@ from repro.problems.random_problems import (
     all_problems_with,
     num_possible_configurations,
     random_problem,
-    random_problem_stream,
 )
 
 
@@ -38,12 +37,6 @@ class TestRandomProblems:
     def test_invalid_density_rejected(self):
         with pytest.raises(ValueError):
             random_problem(2, density=1.5)
-
-    def test_stream_is_reproducible(self):
-        stream_a = random_problem_stream(3, seed=7)
-        stream_b = random_problem_stream(3, seed=7)
-        for _ in range(5):
-            assert next(stream_a).configurations == next(stream_b).configurations
 
     def test_full_density_problem_is_constant_time(self):
         # The unconstrained problem is trivially zero-round solvable.

@@ -9,9 +9,11 @@ import time
 
 import pytest
 
+from test_api import CIRCULANT_17
 from repro.core import classify
-from repro.engine import ClassificationCache, canonical_key, problem_to_dict
-from repro.problems import catalog, hard_problem
+from repro.core.parser import format_problem
+from repro.engine import ClassificationCache, batch, canonical_key, problem_to_dict
+from repro.problems import catalog, coloring, hard_problem
 from repro.problems.random_problems import random_problem
 from repro.service import ServiceClient, ServiceError, ThreadedService
 from repro.service.protocol import (
@@ -456,6 +458,7 @@ class TestWarm:
 # Liveness: slow requests never hold up the other connections
 # ----------------------------------------------------------------------
 EASY = "1 : 2 2\n2 : 1 1"
+LOOP_HIT = "1 : 2 3\n2 : 3 1\n3 : 1 2"
 
 
 def _slow_outcome(frame):
@@ -547,6 +550,116 @@ class TestLiveness:
         assert elapsed < 10.0, f"stop took {elapsed:.3f}s"
         assert not loop_thread.is_alive()
         assert "Exception in callback" not in caplog.text
+
+    # A's request size: 3-label hits, canonicalized on the event loop, so
+    # neither an executor hop nor a pending search suspends A's handler.
+    LOOP_HITS = 3000
+
+    @staticmethod
+    def _hits_while(address, start):
+        """B's hit latencies while A's request runs, and A's running time.
+
+        ``start(client)`` sends A's request on A's connection and returns a
+        function that reads A's answers to the end.
+        """
+        with contextlib.ExitStack() as connections:
+            a, b = (
+                connections.enter_context(ServiceClient.connect_tcp(*address))
+                for _ in range(2)
+            )
+            b.request("warm", {"problems": [LOOP_HIT], "wait": True})
+            began = time.monotonic()
+            finish = start(a)
+            ended = []
+            reader = threading.Thread(
+                target=lambda: (finish(), ended.append(time.monotonic()))
+            )
+            reader.start()
+            latencies = []
+            while reader.is_alive():
+                sent = time.monotonic()
+                assert b.request("classify", {"problem": LOOP_HIT})["from_cache"]
+                latencies.append(time.monotonic() - sent)
+            reader.join()
+        return latencies, ended[0] - began
+
+    def test_hits_answer_while_a_batch_of_hits_streams(self):
+        """A long all-hit batch yields the loop per item: another
+        connection's hits keep answering while it streams."""
+
+        def start(a):
+            request_id = a.send(
+                "classify_batch", {"problems": [LOOP_HIT] * self.LOOP_HITS}
+            )
+            return lambda: list(a.frames(request_id))
+
+        with ThreadedService(backend="threads", workers=1) as address:
+            latencies, streamed = self._hits_while(address, start)
+        assert len(latencies) >= 10, (len(latencies), streamed)
+        assert max(latencies) < streamed / 4, (max(latencies), streamed)
+
+    def test_hits_answer_while_another_client_pipelines(self):
+        """A client that sends many requests before reading any answer gets
+        one request per turn of the loop, like every other connection."""
+
+        def start(a):
+            # One write, so the service finds every line already buffered.
+            request_ids = range(self.LOOP_HITS)
+            params = {"problem": LOOP_HIT}
+            a._write.write(
+                "".join(
+                    encode_frame({"id": request_id, "op": "classify", "params": params})
+                    for request_id in request_ids
+                )
+            )
+            a._write.flush()
+            return lambda: [list(a.frames(request_id)) for request_id in request_ids]
+
+        with ThreadedService(backend="threads", workers=1) as address:
+            latencies, pipelined = self._hits_while(address, start)
+        assert len(latencies) >= 10, (len(latencies), pipelined)
+        assert max(latencies) < pipelined / 4, (max(latencies), pipelined)
+
+    def test_only_cheap_problems_canonicalize_on_the_loop(self, monkeypatch):
+        """On a pooled backend a problem within the on-loop bounds (4
+        labels, 256 label occurrences) is canonicalized on the event loop;
+        anything larger, and anything on `inline`, on another thread."""
+        def two_labels(delta):
+            # 2 configurations of delta + 1 label occurrences each.
+            return f"1 : {' '.join('2' * delta)}\n2 : {' '.join('1' * delta)}"
+
+        cases = {
+            "3 labels": (LOOP_HIT, True),
+            "4 labels": (format_problem(coloring(4)), True),
+            "256 occurrences": (two_labels(127), True),
+            "258 occurrences": (two_labels(128), False),
+            "5 labels": (format_problem(coloring(5)), False),
+            "hard_problem(12)": (problem_to_dict(hard_problem(12)), False),
+            "CIRCULANT_17": (CIRCULANT_17, False),
+        }
+        threads = []
+        canonical_form = batch.canonical_form
+
+        def recording(problem):
+            threads.append(threading.current_thread())
+            return canonical_form(problem)
+
+        monkeypatch.setattr(batch, "canonical_form", recording)
+        on_loop = {}
+        for backend in ("threads", "inline"):
+            service = ThreadedService(backend=backend, workers=1)
+            with service as address:
+                with ServiceClient.connect_tcp(*address) as client:
+                    for name, (spec, _expected) in cases.items():
+                        # The deadline only ends the slow searches early.
+                        client.request(
+                            "classify", {"problem": spec, "deadline_ms": 100}
+                        )
+                        on_loop[backend, name] = threads[-1] is service._thread
+        assert on_loop == {
+            **{("threads", name): expected for name, (_, expected) in cases.items()},
+            **{("inline", name): False for name in cases},
+        }
 
 
 class TestInlineBackend:

@@ -6,14 +6,11 @@ from repro.trees import (
     RootedTree,
     TreeBuilder,
     TreeError,
-    balanced_tree_with_size,
     complete_tree,
     concatenated_lower_bound_tree,
     hairy_path,
     lower_bound_tree,
     lower_bound_tree_size,
-    nearest_full_tree_size,
-    path_tree,
     random_full_tree,
 )
 
@@ -107,25 +104,6 @@ class TestGenerators:
         first = random_full_tree(2, 30, seed=5)
         second = random_full_tree(2, 30, seed=5)
         assert first.parent == second.parent
-
-    def test_balanced_tree_with_size(self):
-        tree = balanced_tree_with_size(2, 31)
-        assert tree.num_nodes == 31
-        assert tree.is_full_delta_ary(2)
-        assert tree.height() == 4
-
-    def test_balanced_tree_invalid_size_rejected(self):
-        with pytest.raises(TreeError):
-            balanced_tree_with_size(2, 30)
-
-    def test_path_tree(self):
-        tree = path_tree(6)
-        assert tree.num_nodes == 7
-        assert tree.height() == 6
-
-    def test_nearest_full_tree_size(self):
-        assert nearest_full_tree_size(2, 100) % 2 == 1
-        assert nearest_full_tree_size(2, 100) >= 100
 
     def test_builder_rejects_second_root(self):
         builder = TreeBuilder()
