@@ -380,10 +380,17 @@ class LocalDriver:
         priority: str,
         deadline: Optional[float],
         trace: Optional[RequestTrace] = None,
+        background: bool = False,
     ) -> PendingClassification:
-        """Submit ``problem`` without waiting; :meth:`resolve` collects it."""
+        """Submit ``problem`` without waiting; :meth:`resolve` collects it.
+
+        ``background`` marks a submission no caller waits on, which
+        :meth:`close` drains instead of cancelling.
+        """
         try:
-            pending = batch.submit(self.scheduler, problem, priority, deadline, trace)
+            pending = batch.submit(
+                self.scheduler, problem, priority, deadline, trace, background
+            )
         except Exception as error:  # noqa: BLE001 - one internal-error surface
             raise _failed(trace, error)
         with self._batch_lock:
@@ -493,7 +500,9 @@ class LocalDriver:
                 # The budget is spent: the problem is not submitted.
                 pending = PendingClassification(problem, None, None, OUTCOME_TIMEOUT)
             else:
-                pending = self.submit_item(problem, priority, item_deadline)
+                pending = self.submit_item(
+                    problem, priority, item_deadline, background=not sweep.waited
+                )
             sweep.add(pending)
         return sweep
 
@@ -555,10 +564,10 @@ class LocalDriver:
         )
 
     def close(self) -> None:
-        # close() drains in-flight searches (a background warm, say) into
-        # the cache first; cache.close() then persists everything
-        # outstanding (a full snapshot when a durable path is configured)
-        # and stops the write-behind flusher, so shutdown loses nothing.
+        # The scheduler cancels every submission still waited on and drains
+        # only a background warm's into the cache; cache.close() then
+        # persists everything outstanding (a full snapshot when a durable
+        # path is configured) and stops the write-behind flusher.
         self.scheduler.close()
         self.cache.close()
         self.tracer.close()

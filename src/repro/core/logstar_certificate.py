@@ -97,13 +97,6 @@ class CertificateBuilder:
     entries: Dict[BuilderKey, Tuple[BuilderKey, ...]] = field(default_factory=dict)
     root: BuilderKey = field(default=(frozenset(), False))
 
-    def derivation_depth(self, key: Optional[BuilderKey] = None, _seen: int = 0) -> int:
-        """Depth of the derivation tree below ``key`` (0 for initial singletons)."""
-        key = key if key is not None else self.root
-        if key not in self.entries:
-            return 0
-        return 1 + max(self.derivation_depth(child) for child in self.entries[key])
-
 
 def _derive(
     problem: LCLProblem, pairs: Sequence[BuilderKey]

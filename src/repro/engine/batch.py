@@ -182,6 +182,7 @@ def submit(
     priority: str = DEFAULT_PRIORITY,
     deadline: Optional[float] = None,
     trace: Optional[Any] = None,
+    background: bool = False,
 ) -> PendingClassification:
     """Submit one problem to ``scheduler`` without waiting.
 
@@ -193,7 +194,9 @@ def submit(
     during canonicalization the cache is never consulted and no search
     starts.  ``trace`` (a :class:`~repro.obs.trace.RequestTrace`, or the
     common ``None``) receives the scheduler's span events for this
-    submission.
+    submission.  ``background`` marks a submission no caller waits on (a
+    warm sent without ``wait``), which closing the scheduler drains instead
+    of cancelling.
     """
     try:
         if deadline is None:  # the common case: skip the scope's set-up
@@ -205,5 +208,7 @@ def submit(
             deadline = token.remaining()
     except SearchInterrupted as interrupted:
         return PendingClassification(problem, None, None, interrupted.outcome)
-    job = scheduler.submit(form, priority=priority, deadline=deadline, trace=trace)
+    job = scheduler.submit(
+        form, priority=priority, deadline=deadline, trace=trace, background=background
+    )
     return PendingClassification(problem, form, job)

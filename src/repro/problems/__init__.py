@@ -7,7 +7,6 @@ from .catalog import (
     catalog,
     coloring,
     figure2_combined_problem,
-    hierarchical_two_and_half_coloring,
     maximal_independent_set,
     pi_k,
     three_coloring,
@@ -31,7 +30,6 @@ __all__ = [
     "coloring",
     "figure2_combined_problem",
     "hard_problem",
-    "hierarchical_two_and_half_coloring",
     "maximal_independent_set",
     "num_possible_configurations",
     "pi_k",

@@ -226,11 +226,6 @@ def unsolvable_problem(delta: int = 2) -> LCLProblem:
     )
 
 
-def hierarchical_two_and_half_coloring() -> LCLProblem:
-    """A Θ(n^{1/2}) style problem: ``Π_2`` of Section 8 under its historical name."""
-    return pi_k(2).with_name("2.5-coloring style problem (Pi_2)")
-
-
 # ----------------------------------------------------------------------
 # Catalog with golden complexities
 # ----------------------------------------------------------------------

@@ -378,13 +378,12 @@ class ClassificationService:
         every leading item whose outcome is already known; after the last
         submission, await the rest in order.  On a pooled backend uncached
         representatives fan out across the workers while hits stream at
-        once; on a synchronous one (``inline``, or a ``processes`` pool that
-        degraded to inline execution) each search runs inside its
-        submission, so every item is written before the next search starts.
-        ``deadline`` bounds each problem's canonicalization and search;
-        expired or cancelled keys stream as ``outcome: "timeout"``/
-        ``"cancelled"`` items while the rest of the request completes.
-        Problems reached after a ``cancel`` are not submitted: they stream
+        once; on ``inline`` each search runs inside its submission, so every
+        item is written before the next search starts.  ``deadline`` bounds
+        each problem's canonicalization and search; expired or cancelled
+        keys stream as ``outcome: "timeout"``/``"cancelled"`` items while
+        the rest of the request completes.  Problems reached after a
+        ``cancel`` or once shutdown has begun are not submitted: they stream
         as ``cancelled`` with ``canonical_key: null``.  The loop yields after
         each submission and after each item written once all are submitted,
         since on-loop hits and a ready send would otherwise never suspend.
@@ -410,7 +409,7 @@ class ClassificationService:
 
         with self._track_active(request) as active:
             for problem, trace in zip(problems, traces):
-                if active.cancel_requested:
+                if active.cancel_requested or self.shutting_down:
                     pending = PendingClassification(
                         problem, None, None, OUTCOME_CANCELLED
                     )
@@ -671,16 +670,14 @@ class ClassificationService:
         try:
             await self._shutdown_event.wait()
         finally:
-            # Cancel the requests in flight first, so their handlers finish
-            # instead of awaiting searches that `driver.close()` would wait
-            # for.  Then close lingering connections *before* waiting on the
-            # server: idle handlers sit in readline() and only finish once
-            # their transport closes underneath them.  Then give the handler
-            # tasks a moment to observe EOF and unwind, so loop teardown
-            # does not cancel them mid-read (which logs spurious tracebacks).
-            for entries in list(self._active_requests.values()):
-                for active in entries:
-                    active.cancel()
+            # The driver's close is the teardown rule: it cancels every
+            # request still waited on, drains a background warm and saves
+            # the cache.  It runs off the loop, so the handlers it releases
+            # unwind meanwhile; idle ones leave readline() once their
+            # transport closes.
+            closing = asyncio.get_running_loop().run_in_executor(
+                None, self.driver.close
+            )
             for writer in list(self._writers):
                 writer.close()
             if self._connection_tasks:
@@ -688,14 +685,7 @@ class ClassificationService:
             server.close()
             with contextlib.suppress(Exception):
                 await server.wait_closed()
-            # Only now tear the driver down: no handler can submit work.  It
-            # drains the searches the cancel above cannot reach (a background
-            # warm; on `inline`, a search inside a request's submission) under
-            # their own deadlines, then persists a final full snapshot of the
-            # cache.  Off the loop, so those requests' handlers can unwind.
-            await asyncio.get_running_loop().run_in_executor(None, self.driver.close)
-            if self._connection_tasks:
-                await asyncio.wait(set(self._connection_tasks), timeout=5)
+            await closing
 
     async def _handle_tcp_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

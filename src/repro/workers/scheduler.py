@@ -58,6 +58,13 @@ included: ``LocalDriver.start_warm`` (:mod:`repro.api.session`) sends each
 problem of an upcoming batch or census through
 :func:`repro.engine.batch.submit` at ``warm`` priority, with what is left of
 a warm budget as each submission's deadline.
+
+**Teardown.**  :meth:`ClassificationScheduler.close` is the one teardown
+rule of every endpoint, local sessions and the service alike.  It cancels
+every *attended* submission, one whose result a caller still waits on, and
+any that arrives while it closes; it then drains only *background*
+submissions (those of a warm that does not wait) under their own deadlines,
+so their results reach the cache before it is saved.
 """
 
 from __future__ import annotations
@@ -190,10 +197,12 @@ class _Waiter:
     ``trace`` is the submission's :class:`RequestTrace` (or ``None`` — the
     overwhelmingly common case): traces belong to *submissions*, not
     flights, so every client sharing one single-flight search still gets
-    its own span tree.
+    its own span tree.  ``background`` marks a submission no caller waits
+    on, which :meth:`ClassificationScheduler.close` drains instead of
+    cancelling.
     """
 
-    __slots__ = ("future", "deadline", "flight", "seq", "trace")
+    __slots__ = ("future", "deadline", "flight", "seq", "trace", "background")
 
     def __init__(
         self,
@@ -201,12 +210,14 @@ class _Waiter:
         deadline: Optional[float],
         seq: int,
         trace: Optional[RequestTrace] = None,
+        background: bool = False,
     ) -> None:
         self.future: "Future[Dict[str, Any]]" = Future()
         self.deadline = deadline  # absolute monotonic, or None
         self.flight = flight
         self.seq = seq
         self.trace = trace
+        self.background = background
 
 
 class _Flight:
@@ -371,6 +382,7 @@ class ClassificationScheduler:
         self._seq = itertools.count()
         self._pumping = False
         self._pump_requests = 0
+        self._closing = False
         self._monitor = _DeadlineMonitor(self._expire_waiter)
 
     # ------------------------------------------------------------------
@@ -382,6 +394,7 @@ class ClassificationScheduler:
         priority: str = DEFAULT_PRIORITY,
         deadline: Optional[float] = None,
         trace: Optional[RequestTrace] = None,
+        background: bool = False,
     ) -> ClassificationJob:
         """Submit one canonical form; dedupe against cache and in-flight work.
 
@@ -390,8 +403,11 @@ class ClassificationScheduler:
         ``trace`` (when given) receives this submission's scheduler spans —
         ``queued``/``admitted``/``search``/``cache-write``/``reply`` — as the
         flight progresses; the common ``trace=None`` case costs one ``is
-        None`` test per event site.  Returns immediately in every case; only
-        ``kind == "scheduled"`` jobs put new work on the backend.
+        None`` test per event site.  ``background`` marks a submission no
+        caller waits on, which :meth:`close` drains instead of cancelling; a
+        miss submitted without it once :meth:`close` has begun is cancelled
+        at once.  Returns immediately in every case; only ``kind ==
+        "scheduled"`` jobs put new work on the backend.
         """
         rank = PRIORITY_RANK[validate_priority(priority)]
         key = form.key
@@ -415,7 +431,9 @@ class ClassificationScheduler:
             flight = self._in_flight.get(key)
             if flight is not None:
                 self.stats.deduped += 1
-                waiter = _Waiter(flight, deadline_at, next(self._seq), trace)
+                waiter = _Waiter(
+                    flight, deadline_at, next(self._seq), trace, background
+                )
                 flight.waiters.append(waiter)
                 if flight.state == _QUEUED and rank < flight.rank:
                     # A more urgent duplicate escalates the queued search;
@@ -449,7 +467,7 @@ class ClassificationScheduler:
                     rank=rank,
                     seq=seq,
                 )
-                waiter = _Waiter(flight, deadline_at, seq, trace)
+                waiter = _Waiter(flight, deadline_at, seq, trace, background)
                 flight.waiters.append(waiter)
                 self._in_flight[key] = flight
                 heapq.heappush(self._ready, (rank, seq, flight))
@@ -462,7 +480,12 @@ class ClassificationScheduler:
                         STAGE_SCHEDULER,
                         attrs={"key": key, "priority": priority},
                     )
-        if waiter.deadline is not None:
+            # Read under the lock close() marks it in, so close() either
+            # detaches this waiter or this submission sees the mark.
+            late = self._closing and not background
+        if late:
+            self._detach_waiter(waiter, SearchCancelled(key=key), CANCELLED)
+        elif waiter.deadline is not None:
             if waiter.deadline <= time.monotonic():
                 # Already expired at submit time: resolve deterministically
                 # instead of racing the monitor against a fast search.
@@ -827,17 +850,35 @@ class ClassificationScheduler:
         return payload
 
     def close(self) -> None:
-        """Shut the backend down, wait until idle, then stop the deadline monitor.
+        """Cancel what callers still wait on, drain the rest, then stop.
 
-        The backend drains its running searches first, then :meth:`wait_idle`
-        waits out every flight still queued or running, such as a search
-        running inside another thread's submission on a synchronous backend.
-        The monitor keeps expiring their waiters meanwhile: a search with a
-        deadline stops at that deadline instead of holding ``close()`` until
-        it finishes.
+        One step under the lock marks the scheduler closing and snapshots
+        every attended waiter; each is then detached with
+        :class:`SearchCancelled`, and a flight left without waiters is
+        cancelled (a ``processes`` worker is killed within its 50 ms poll, a
+        ``threads`` or ``inline`` search stops at its next checkpoint, even
+        one running inside another thread's submission).  An attended
+        :meth:`submit` made after the mark cancels itself.  Only background
+        submissions are left: :meth:`wait_idle` waits out every flight still
+        queued or running, dispatching queued ones as slots free, before the
+        backend shuts down.  The monitor keeps expiring their waiters
+        meanwhile, so a background search stops at its deadline, and it
+        stops last.
         """
-        self.backend.close()
+        with self._lock:
+            self._closing = True
+            attended = [
+                waiter
+                for flight in self._in_flight.values()
+                for waiter in flight.waiters
+                if not waiter.background
+            ]
+        for waiter in attended:
+            self._detach_waiter(
+                waiter, SearchCancelled(key=waiter.flight.key), CANCELLED
+            )
         self.wait_idle()
+        self.backend.close()
         self._monitor.close()
 
     def __enter__(self) -> "ClassificationScheduler":

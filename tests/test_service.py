@@ -533,9 +533,9 @@ class TestLiveness:
         assert "Exception in callback" not in caplog.text
 
     def test_inline_stop_keeps_the_search_deadline(self, caplog):
-        """On `inline` the search runs inside the request's submission, where
-        the in-flight cancel cannot reach it: shutdown waits for it to stop
-        at its deadline, and the loop thread then exits cleanly."""
+        """On `inline` the search runs inside the request's submission, and
+        shutdown's cancel reaches it there: it stops well before its
+        deadline, and the loop thread then exits cleanly."""
         hard = problem_to_dict(hard_problem(12))
         service = ThreadedService(backend="inline")
         address = service.start()
@@ -550,6 +550,42 @@ class TestLiveness:
         assert elapsed < 10.0, f"stop took {elapsed:.3f}s"
         assert not loop_thread.is_alive()
         assert "Exception in callback" not in caplog.text
+
+    @staticmethod
+    def _stop_mid_search(backend, send):
+        """Seconds ``stop()`` takes 0.5 s into a deadline-less search.
+
+        ``send(client, params)`` asks for ``hard_problem(12)``, which runs
+        for minutes.
+        """
+        service = ThreadedService(backend=backend, workers=1)
+        address = service.start()
+        with ServiceClient.connect_tcp(*address) as client:
+            send(client, {"problem": problem_to_dict(hard_problem(12))})
+            time.sleep(0.5)
+            start = time.monotonic()
+            service.stop()
+            return time.monotonic() - start
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_stop_cancels_a_request_without_an_id(self, backend):
+        """A request line may omit `id`, so no `cancel` can address it;
+        shutdown still cancels it instead of waiting its search out."""
+
+        def send(client, params):
+            client._write.write(encode_frame({"op": "classify", "params": params}))
+            client._write.flush()
+
+        elapsed = self._stop_mid_search(backend, send)
+        assert elapsed < 2.0, f"stop took {elapsed:.3f}s"
+
+    def test_inline_stop_cancels_a_search_without_deadline(self):
+        """On `inline` shutdown cancels the search running inside the
+        request's submission; nothing else would ever stop it."""
+        elapsed = self._stop_mid_search(
+            "inline", lambda client, params: client.send("classify", params)
+        )
+        assert elapsed < 2.0, f"stop took {elapsed:.3f}s"
 
     # A's request size: 3-label hits, canonicalized on the event loop, so
     # neither an executor hop nor a pending search suspends A's handler.

@@ -420,8 +420,10 @@ def _cooperative_slow_task(payload):
     return payload[0], {"complexity": "CONSTANT"}
 
 
-# Submits a minutes-long search with a 1 s deadline, then closes the session
-# at once: close() drains the backend, and must still time the search out.
+# Submits a minutes-long search with a 1 s deadline and closes the session at
+# once: close() cancels it.  Then warms the same search in the background with
+# a 1 s deadline and closes: close() drains the warm, and must still time it
+# out instead of waiting it out.
 _CLOSE_DURING_SEARCH = """
 import json, time
 from repro.api import connect
@@ -432,34 +434,140 @@ pending = session.submit(hard_problem(12), deadline=1.0)
 start = time.monotonic()
 session.close()
 closed_after = time.monotonic() - start
+warmed = connect("local://threads?workers=2")
+warmed.warm([hard_problem(12)], deadline=1.0)
+start = time.monotonic()
+warmed.close()
+print(json.dumps({
+    "closed_after": closed_after,
+    "outcome": pending.result(5).outcome,
+    "drained_after": time.monotonic() - start,
+    "warm_timeouts": warmed.stats()["workers"]["timeouts"],
+}))
+"""
+
+# Submits a minutes-long search with no deadline to the endpoint named on the
+# command line and closes the session 0.5 s in.
+_CLOSE_MID_SEARCH = """
+import json, sys, time
+from repro.api import connect
+from repro.problems import hard_problem
+
+session = connect(sys.argv[1])
+pending = session.submit(hard_problem(12))
+time.sleep(0.5)
+start = time.monotonic()
+session.close()
+closed_after = time.monotonic() - start
 print(json.dumps({"closed_after": closed_after, "outcome": pending.result(5).outcome}))
 """
 
 
+def _child_report(script, *argv):
+    """Run ``script`` in a child process; return the JSON it prints.
+
+    A child, so that a close() which waits a search out (for minutes) fails
+    at the timeout instead of hanging the suite.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("close() waited a minutes-long search out for over 20 s")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class _RecordingBackend(ThreadBackend):
+    """A thread pool recording the key of each task it is handed."""
+
+    def __init__(self, workers):
+        super().__init__(workers=workers)
+        self.keys = []
+
+    def submit_task(self, fn, *args, token=None):
+        self.keys.append(args[0][0])
+        return super().submit_task(fn, *args, token=token)
+
+
 class TestDeadlinesAndCancellation:
     def test_close_keeps_enforcing_deadlines_while_it_drains(self):
-        """close() times out a deadlined search instead of waiting it out.
+        """close() cancels a search still waited on, and times out a
+        background warm's deadlined search instead of waiting it out."""
+        report = _child_report(_CLOSE_DURING_SEARCH)
+        assert report["outcome"] == "cancelled"
+        assert report["closed_after"] < 2.0, report
+        assert report["warm_timeouts"] == 1, report
+        assert report["drained_after"] < 10.0, report
 
-        Run in a child process, so that a close() which waits the search out
-        (for minutes) fails at the timeout instead of hanging the suite.
-        """
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    @pytest.mark.parametrize(
+        "endpoint", ["local://threads?workers=1", "local://processes?workers=1"]
+    )
+    def test_close_cancels_a_search_still_waited_on(self, endpoint):
+        """close() 0.5 s into a deadline-less search returns at once, and
+        the abandoned pending resolves `cancelled`."""
+        report = _child_report(_CLOSE_MID_SEARCH, endpoint)
+        assert report["outcome"] == "cancelled"
+        assert report["closed_after"] < 2.0, report
+
+    def test_a_submission_made_while_closing_is_cancelled_before_dispatch(self):
+        """An attended submission made after close() began resolves
+        SearchCancelled and never reaches the backend."""
+        block = threading.Event()
+        blocker_form, late_form = _distinct_forms(2, start=60)
+        backend = _RecordingBackend(workers=2)
+        scheduler = ClassificationScheduler(
+            backend=backend, task=_blocked_task_factory(block)
+        )
+        blocker = scheduler.submit(blocker_form)
+        closer = threading.Thread(target=scheduler.close, daemon=True)
         try:
-            done = subprocess.run(
-                [sys.executable, "-c", _CLOSE_DURING_SEARCH],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=20,
-            )
-        except subprocess.TimeoutExpired:
-            pytest.fail("close() outlived the search's 1 s deadline by 20 s")
-        assert done.returncode == 0, done.stderr
-        report = json.loads(done.stdout)
-        assert report["outcome"] == "timeout"
-        assert report["closed_after"] < 10.0, report
+            closer.start()
+            # close() marks itself closing, then cancels the blocker, and
+            # now waits for the blocker's thread.
+            with pytest.raises(SearchCancelled):
+                blocker.result(timeout=10)
+            late = scheduler.submit(late_form)
+            with pytest.raises(SearchCancelled):
+                late.result(timeout=10)
+        finally:
+            block.set()
+            closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert backend.keys == [blocker.key]
+        assert scheduler.stats.cancelled == 2
+
+    def test_close_drains_background_flights_queued_behind_a_search(self):
+        """Background submissions queued behind a running one still run
+        before the backend shuts down: close() returns, and every one of
+        them reaches the cache."""
+
+        def task(payload):
+            time.sleep(0.2)
+            return payload[0], {"complexity": "CONSTANT"}
+
+        forms = _distinct_forms(3, start=70)
+        scheduler = ClassificationScheduler(
+            backend=ThreadBackend(workers=1), task=task
+        )
+        jobs = [scheduler.submit(form, background=True) for form in forms]
+        closer = threading.Thread(target=scheduler.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() never returned"
+        assert [job.result(timeout=0)["complexity"] for job in jobs] == [
+            "CONSTANT"
+        ] * 3
+        assert all(scheduler.cache.peek(form.key) is not None for form in forms)
+        assert scheduler.stats.completed == 3
 
     def test_deadline_times_out_a_hung_search_and_frees_the_slot(self):
         """A never-checkpointing search times out; new work still dispatches."""
