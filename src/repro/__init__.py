@@ -50,7 +50,6 @@ from .core import (
     LCLProblem,
     classify,
     classify_with_certificates,
-    complexity_of,
     parse_problem,
 )
 from . import engine
@@ -74,7 +73,6 @@ __all__ = [
     "canonical_form",
     "classify",
     "classify_with_certificates",
-    "complexity_of",
     "connect",
     "core",
     "engine",

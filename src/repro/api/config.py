@@ -28,19 +28,12 @@ the *server* when the endpoint is handed to ``repro serve``):
     WAL-mode SQLite store, ``memory:`` for none.
 ``cache_max_entries=N``
     LRU budget.
-``cache_ttl=SECONDS``
-    Entry time-to-live; expired entries count as misses.
-``cache_flush_interval=SECONDS`` / ``cache_flush_count=N``
-    Write-behind thresholds: dirty entries are persisted in the background
-    once ``N`` keys are pending or ``SECONDS`` have elapsed, instead of on
-    every store.
 
-All modes accept ``priority`` and ``deadline`` (seconds) as session-wide
-scheduling defaults, and ``obs=0`` to bypass the observability layer
-(request ids, the tracer, the ``metrics`` and ``trace`` operations)
-entirely.  Anything unrecognized raises
-:class:`~repro.api.errors.EndpointError` — a typo in an endpoint should
-never be silently ignored.
+All modes accept ``obs=0`` to bypass the observability layer (request ids,
+the tracer, the ``metrics`` and ``trace`` operations) entirely.  Priorities
+and deadlines are per call, never per endpoint.  Anything unrecognized
+raises :class:`~repro.api.errors.EndpointError` — a typo in an endpoint
+should never be silently ignored.
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ from urllib.parse import parse_qsl, quote, urlsplit
 
 from ..engine.backends import parse_cache_url
 from ..workers.backends import BACKEND_NAMES
-from ..workers.scheduler import PRIORITIES
 from .errors import EndpointError
 
 MODE_LOCAL = "local"
@@ -62,21 +54,14 @@ MODES = (MODE_LOCAL, MODE_TCP, MODE_STDIO)
 DEFAULT_TCP_PORT = 8765
 """Port assumed by ``tcp://host`` endpoints, matching ``repro serve``."""
 
-_COMMON_QUERY_KEYS = ("priority", "deadline", "obs")
 # tcp endpoints accept cache parameters too: when a tcp endpoint is handed
 # to `repro serve` it describes the *server*, whose cache they configure.
 # A connecting session ignores them (the cache lives server-side).
-_CACHE_QUERY_KEYS = (
-    "cache",
-    "cache_max_entries",
-    "cache_ttl",
-    "cache_flush_interval",
-    "cache_flush_count",
-)
+_COMMON_QUERY_KEYS = ("cache", "cache_max_entries", "obs")
 _QUERY_KEYS = {
-    MODE_LOCAL: ("workers",) + _CACHE_QUERY_KEYS + _COMMON_QUERY_KEYS,
-    MODE_TCP: ("retries",) + _CACHE_QUERY_KEYS + _COMMON_QUERY_KEYS,
-    MODE_STDIO: _CACHE_QUERY_KEYS + _COMMON_QUERY_KEYS,
+    MODE_LOCAL: ("workers",) + _COMMON_QUERY_KEYS,
+    MODE_TCP: ("retries",) + _COMMON_QUERY_KEYS,
+    MODE_STDIO: _COMMON_QUERY_KEYS,
 }
 
 
@@ -101,14 +86,6 @@ class SessionConfig:
     cache_path, cache_max_entries:
         Persistent result cache URL (bare path / ``json:`` / ``sqlite:`` /
         ``memory:``) and LRU budget.
-    cache_ttl:
-        Optional entry time-to-live in seconds.
-    cache_flush_interval, cache_flush_count:
-        Optional write-behind thresholds (seconds between background
-        flushes / pending dirty keys that trigger one).
-    default_priority, default_deadline:
-        Session-wide scheduling defaults applied when a call does not pass
-        its own ``priority``/``deadline``.
     obs:
         Whether the observability layer (request ids, the env-gated
         tracer, the ``metrics`` and ``trace`` operations) is wired up at
@@ -126,11 +103,6 @@ class SessionConfig:
     retries: int = 0
     cache_path: Optional[str] = None
     cache_max_entries: Optional[int] = None
-    cache_ttl: Optional[float] = None
-    cache_flush_interval: Optional[float] = None
-    cache_flush_count: Optional[int] = None
-    default_priority: Optional[str] = None
-    default_deadline: Optional[float] = None
     obs: bool = True
 
     def __post_init__(self) -> None:
@@ -147,24 +119,11 @@ class SessionConfig:
             raise EndpointError("tcp sessions require a host")
         if self.workers is not None and self.workers < 1:
             raise EndpointError("workers must be >= 1")
-        if self.default_priority is not None and self.default_priority not in PRIORITIES:
-            raise EndpointError(
-                f"unknown priority {self.default_priority!r} "
-                f"(known: {', '.join(PRIORITIES)})"
-            )
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise EndpointError("deadline must be positive seconds")
         if self.cache_path is not None:
             try:
                 parse_cache_url(self.cache_path)
             except ValueError as error:
                 raise EndpointError(f"bad cache URL: {error}") from None
-        if self.cache_ttl is not None and self.cache_ttl <= 0:
-            raise EndpointError("cache_ttl must be positive seconds")
-        if self.cache_flush_interval is not None and self.cache_flush_interval <= 0:
-            raise EndpointError("cache_flush_interval must be positive seconds")
-        if self.cache_flush_count is not None and self.cache_flush_count < 1:
-            raise EndpointError("cache_flush_count must be >= 1")
 
     # ------------------------------------------------------------------
     # URL form
@@ -186,16 +145,6 @@ class SessionConfig:
             query["cache"] = self.cache_path
         if self.cache_max_entries is not None:
             query["cache_max_entries"] = self.cache_max_entries
-        if self.cache_ttl is not None:
-            query["cache_ttl"] = self.cache_ttl
-        if self.cache_flush_interval is not None:
-            query["cache_flush_interval"] = self.cache_flush_interval
-        if self.cache_flush_count is not None:
-            query["cache_flush_count"] = self.cache_flush_count
-        if self.default_priority is not None:
-            query["priority"] = self.default_priority
-        if self.default_deadline is not None:
-            query["deadline"] = self.default_deadline
         if not self.obs:
             query["obs"] = 0
         if not query:
@@ -223,17 +172,6 @@ def _int_param(params: Dict[str, str], key: str, endpoint: str) -> Optional[int]
         raise EndpointError(
             f"{key} must be an integer in endpoint {endpoint!r}, "
             f"got {params[key]!r}"
-        ) from None
-
-
-def _float_param(params: Dict[str, str], key: str, endpoint: str) -> Optional[float]:
-    if key not in params:
-        return None
-    try:
-        return float(params[key])
-    except ValueError:
-        raise EndpointError(
-            f"{key} must be a number in endpoint {endpoint!r}, got {params[key]!r}"
         ) from None
 
 
@@ -293,16 +231,9 @@ def parse_endpoint(endpoint: str) -> SessionConfig:
         )
 
     common = {
-        "default_priority": params.get("priority"),
-        "default_deadline": _float_param(params, "deadline", endpoint),
         "obs": _bool_param(params, "obs", endpoint, default=True),
         "cache_path": params.get("cache"),
         "cache_max_entries": _int_param(params, "cache_max_entries", endpoint),
-        "cache_ttl": _float_param(params, "cache_ttl", endpoint),
-        "cache_flush_interval": _float_param(
-            params, "cache_flush_interval", endpoint
-        ),
-        "cache_flush_count": _int_param(params, "cache_flush_count", endpoint),
     }
     if mode == MODE_LOCAL:
         backend = parts.netloc or parts.path.strip("/")

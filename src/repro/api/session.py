@@ -233,17 +233,12 @@ class PendingOutcome:
 def open_cache(config: SessionConfig) -> ClassificationCache:
     """The result cache a configuration describes.
 
-    One rule for local sessions and ``repro serve``: every cache parameter
-    of the endpoint (``cache``, ``cache_max_entries``, ``cache_ttl``,
-    ``cache_flush_interval``, ``cache_flush_count``) is applied.  With none
-    of them set this is an unbounded in-memory cache.
+    One rule for local sessions and ``repro serve``: both cache parameters
+    of the endpoint (``cache`` and ``cache_max_entries``) are applied.  With
+    neither set this is an unbounded in-memory cache.
     """
     return ClassificationCache(
-        path=config.cache_path,
-        max_entries=config.cache_max_entries,
-        ttl_seconds=config.cache_ttl,
-        flush_interval=config.cache_flush_interval,
-        flush_max_dirty=config.cache_flush_count,
+        path=config.cache_path, max_entries=config.cache_max_entries
     )
 
 
@@ -340,9 +335,12 @@ class LocalDriver:
     :func:`repro.engine.batch.submit`.
 
     ``cache`` replaces the config's cache parameters with a ready cache.
-    ``requests_served`` counts front-door requests: a session's
-    classifications count themselves, while the service calls
-    :meth:`count_request` once per decoded request line.  ``batch_stats``
+    ``requests_served`` counts requests: one per ``classify``, ``submit``,
+    ``classify_batch``, ``census`` or ``warm``, however many problems it
+    carries, on a session and in the service alike (the service calls
+    :meth:`count_request` for the requests it runs without the methods
+    below).  ``stats``, ``metrics``, ``trace``, ``cancel`` and ``shutdown``
+    count nothing, so reading the counter never moves it.  ``batch_stats``
     counts submissions and the full searches they started.
     """
 
@@ -366,10 +364,6 @@ class LocalDriver:
     def count_request(self) -> None:
         with self._served_lock:
             self.requests_served += 1
-
-    def _start_trace(self, op: str) -> Optional[RequestTrace]:
-        self.count_request()
-        return self.tracer.start(op)
 
     # ------------------------------------------------------------------
     # The two halves of every classification
@@ -427,13 +421,15 @@ class LocalDriver:
     def classify(
         self, problem: LCLProblem, priority: str, deadline: Optional[float]
     ) -> Outcome:
-        trace = self._start_trace("classify")
+        self.count_request()
+        trace = self.tracer.start("classify")
         return self.resolve(self.submit_item(problem, priority, deadline, trace), trace)
 
     def submit(
         self, problem: LCLProblem, priority: str, deadline: Optional[float]
     ) -> PendingOutcome:
-        trace = self._start_trace("submit")
+        self.count_request()
+        trace = self.tracer.start("submit")
         pending = self.submit_item(problem, priority, deadline, trace)
         return PendingOutcome(
             result=lambda timeout=None: self.resolve(pending, trace, timeout),
@@ -459,13 +455,16 @@ class LocalDriver:
         problems: Sequence[LCLProblem],
         priority: str,
         deadline: Optional[float],
+        op: str = "classify_batch",
     ) -> Iterator[Outcome]:
         # Fan everything out up front (the pooled backends overlap searches),
         # then stream outcomes in submission order as each future resolves.
-        # One trace per item, like the service's per-item sub-traces.
+        # One request, but one trace per item under ``op``, like the
+        # service's per-item sub-traces.
+        self.count_request()
         submissions = []
         for problem in problems:
-            trace = self._start_trace("classify_batch")
+            trace = self.tracer.start(op)
             submissions.append(
                 (self.submit_item(problem, priority, deadline, trace), trace)
             )
@@ -491,6 +490,7 @@ class LocalDriver:
         workload = list(problems)
         if census is not None:
             workload.extend(census_problems(census)[0])
+        self.count_request()
         for problem in workload:
             item_deadline = deadline
             if sweep.budget_ends is not None:
@@ -825,12 +825,11 @@ class ClassificationSession:
     session owns (worker pools, connections, a spawned stdio service) and
     persists a configured cache file.
 
-    Scheduling defaults: each call's ``priority``/``deadline`` falls back to
-    the config's ``default_priority``/``default_deadline``, then to the
-    operation's own class — ``interactive`` for :meth:`classify`/
-    :meth:`submit`, ``batch`` for :meth:`classify_many`, ``warm`` for
-    :meth:`census` and :meth:`warm` — the same defaults the service applies
-    on the wire.
+    Scheduling: each call passes its own ``priority`` and ``deadline``.  An
+    omitted priority is the operation's own class — ``interactive`` for
+    :meth:`classify`/:meth:`submit`, ``batch`` for :meth:`classify_many`,
+    ``warm`` for :meth:`census` and :meth:`warm` — the same defaults the
+    service applies on the wire; an omitted deadline is none.
     """
 
     def __init__(self, config: SessionConfig) -> None:
@@ -873,12 +872,8 @@ class ClassificationSession:
     def _scheduling(
         self, priority: Optional[str], deadline: Optional[float], op_default: str
     ) -> Tuple[str, Optional[float]]:
-        """Apply config defaults and validate — before any dispatch."""
-        priority = validate_priority(
-            priority or self.config.default_priority or op_default
-        )
-        if deadline is None:
-            deadline = self.config.default_deadline
+        """Apply the operation's default priority; validate before any dispatch."""
+        priority = validate_priority(priority or op_default)
         if deadline is not None and deadline <= 0:
             raise RequestError("deadline must be positive seconds")
         return priority, deadline
@@ -976,7 +971,7 @@ class ClassificationSession:
             # Only the parameters travel; the server generates the draws.
             return self._driver.iter_census(echo, priority, deadline)
         problems, _echo = census_problems(echo)
-        return self._driver.iter_outcomes(problems, priority, deadline)
+        return self._driver.iter_outcomes(problems, priority, deadline, "census")
 
     # ------------------------------------------------------------------
     # Cache warming

@@ -188,9 +188,6 @@ _WORKER_FLAGS = (("backend", "--worker-backend"), ("workers", "--workers"))
 _CACHE_FLAGS = (
     ("cache_path", "--cache"),
     ("cache_max_entries", "--cache-max-entries"),
-    ("cache_ttl", "--cache-ttl"),
-    ("cache_flush_interval", "--cache-flush-interval"),
-    ("cache_flush_count", "--cache-flush-count"),
 )
 
 
@@ -833,30 +830,6 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="bound the cache to N entries, evicting least recently used results",
     )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="drop cached results older than SECONDS (expired entries miss)",
-    )
-    parser.add_argument(
-        "--cache-flush-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "write-behind: persist dirty entries in the background every "
-            "SECONDS instead of on demand"
-        ),
-    )
-    parser.add_argument(
-        "--cache-flush-count",
-        type=int,
-        default=None,
-        metavar="N",
-        help="write-behind: persist once N dirty entries are pending",
-    )
 
 
 def _add_census_params(parser: argparse.ArgumentParser) -> None:
@@ -1163,8 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "service endpoint: tcp://HOST:PORT or stdio: (overrides "
             "--host/--port; query parameters may set cache=URL "
-            "(json:/sqlite:/memory:), cache_max_entries=N, cache_ttl, "
-            "cache_flush_interval, and cache_flush_count, and the cache "
+            "(json:/sqlite:/memory:) and cache_max_entries=N, and the cache "
             "flags fill in the ones it leaves unset)"
         ),
     )

@@ -11,7 +11,7 @@ from .cancellation import (
 )
 from .configuration import Configuration, Label, configuration
 from .problem import LCLError, LCLProblem
-from .parser import format_problem, parse_configuration, parse_problem
+from .parser import format_problem, parse_problem
 from .complexity import ClassificationResult, ComplexityClass
 from .log_certificate import (
     LogCertificate,
@@ -47,7 +47,6 @@ from .classifier import (
     ClassificationArtifacts,
     classify,
     classify_with_certificates,
-    complexity_of,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "checkpoint",
     "classify",
     "classify_with_certificates",
-    "complexity_of",
     "configuration",
     "current_token",
     "find_certificate_builder",
@@ -91,7 +89,6 @@ __all__ = [
     "has_log_certificate",
     "has_logstar_certificate",
     "kernel_override",
-    "parse_configuration",
     "parse_problem",
     "problem_encoding",
     "remove_path_inflexible_configurations",

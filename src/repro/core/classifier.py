@@ -195,8 +195,3 @@ def _classify_with_certificates(problem: LCLProblem) -> ClassificationArtifacts:
         constant_certificate=constant_certificate,
         elapsed_seconds=time.perf_counter() - start,
     )
-
-
-def complexity_of(problem: LCLProblem) -> ComplexityClass:
-    """Shortcut returning only the complexity class."""
-    return classify(problem).complexity

@@ -53,15 +53,15 @@ from .configuration import Configuration, Label
 from .problem import LCLError, LCLProblem
 
 
-def _parse_line(text: str, line: str, known: AbstractSet[Label]) -> Configuration:
-    """Parse ``text``, the stripped non-empty ``line`` (the grammar above).
+def _parse_line(line: str, known: AbstractSet[Label]) -> Configuration:
+    """Parse ``line``, one stripped non-empty line (the grammar above).
 
     A children token is split into its characters unless it is one
     character long or a label of ``known``: the paper's compact notation
     glues single-character labels together (``"22"`` means two children
     labeled ``2``).  Errors quote ``line``.
     """
-    parent_text, colon, children_text = text.partition(":")
+    parent_text, colon, children_text = line.partition(":")
     if colon:
         parent_tokens = parent_text.split()
         if len(parent_tokens) != 1:
@@ -69,7 +69,7 @@ def _parse_line(text: str, line: str, known: AbstractSet[Label]) -> Configuratio
         parent = parent_tokens[0]
         tokens = children_text.split()
     else:
-        parent, *tokens = text.split()
+        parent, *tokens = line.split()
     children: List[Label] = []
     for token in tokens:
         if len(token) == 1 or token in known:
@@ -79,14 +79,6 @@ def _parse_line(text: str, line: str, known: AbstractSet[Label]) -> Configuratio
     if not children:
         raise LCLError(f"configuration {line!r} has no children")
     return Configuration(parent, children)
-
-
-def parse_configuration(line: str, known_labels: Optional[Iterable[Label]] = None) -> Configuration:
-    """Parse a single configuration line such as ``"1 : 2 3"`` or ``"1:23"``."""
-    text = line.strip()
-    if not text:
-        raise LCLError("cannot parse an empty configuration line")
-    return _parse_line(text, line, frozenset(known_labels or ()))
 
 
 def parse_problem(
@@ -121,7 +113,7 @@ def parse_problem(
         line = raw_line.strip()
         if not line or line[0] == "#":
             continue
-        config = _parse_line(line, line, known)
+        config = _parse_line(line, known)
         children = config.children
         if delta is None:
             delta = len(children)

@@ -9,7 +9,7 @@ fleets of problems:
 * :mod:`repro.engine.cache` — in-memory result cache keyed by canonical
   form over a pluggable durable tier (:mod:`repro.engine.backends`: json
   file, sqlite-WAL, or memory-only), with hit/miss/eviction/flush
-  statistics, optional TTL, write-behind persistence, and an optional LRU
+  statistics, write-behind persistence, and an optional LRU
   ``max_entries`` budget enforced in memory and on disk,
 * :mod:`repro.engine.batch` — :func:`~repro.engine.batch.submit`, which
   canonicalizes one problem within its deadline, hands the form to the

@@ -1,6 +1,6 @@
 """Storage-backend protocol behind :class:`repro.engine.cache.ClassificationCache`.
 
-The cache front end (LRU bookkeeping, statistics, TTL, write-behind) is
+The cache front end (LRU bookkeeping, statistics, write-behind) is
 backend-agnostic; everything that touches durable storage goes through the
 :class:`CacheBackend` interface defined here.  Three implementations ship:
 
@@ -98,7 +98,7 @@ class CacheBackend(abc.ABC):
     ) -> int:
         """Persist the full snapshot ``rows``; return rows written.
 
-        ``deletes`` are keys known evicted/expired since the last write.
+        ``deletes`` are keys known evicted or cleared since the last write.
         Whole-file backends ignore it (rewriting drops them anyway); the
         sqlite backend deletes exactly those rows, because it must never
         clear rows it does not own (other processes may share the store).
@@ -114,7 +114,7 @@ class CacheBackend(abc.ABC):
         """Persist a write-behind increment; return entries written.
 
         ``upserts`` are dirty rows in store-time order (oldest first) and
-        ``deletes`` are keys evicted or expired since the last flush.
+        ``deletes`` are keys evicted or cleared since the last flush.
         Backends that cannot update entries individually call ``snapshot()``
         for the full current state and rewrite it; partial backends touch
         only the given rows, which is what keeps per-store persistence cost

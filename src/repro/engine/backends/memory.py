@@ -1,10 +1,10 @@
 """In-memory cache backend: the LRU mapping *is* the store.
 
 Selected by the ``memory:`` cache URL.  Nothing is persisted — ``load``
-returns no rows, snapshots and flushes write nothing — but the full cache
-front end (LRU budget, TTL, statistics, even the write-behind flusher)
-behaves identically to the durable backends, which is what lets the
-crash-recovery and backend-matrix test suites parametrize over all three.
+returns no rows, snapshots and flushes write nothing — but the cache front
+end (LRU budget, statistics) behaves identically to the durable backends,
+which is what lets the crash-recovery and backend-matrix test suites
+parametrize over all three.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Layout::
 ``payload`` holds the serialized result dict as compact JSON; ``recency`` is
 a monotonically increasing counter (re-seeded from ``MAX(recency)`` inside
 each write transaction, so interleaved processes stay roughly globally
-ordered); ``stored_at`` feeds TTL expiry across restarts.  LRU order is
-recovered on load by ``ORDER BY recency``.
+ordered); ``stored_at`` is the store time, which orders a write-behind
+flush.  LRU order is recovered on load by ``ORDER BY recency``.
 
 Multi-process semantics: incremental flushes and snapshot saves only ever
 upsert their own rows and delete keys *they* evicted — they never clear the

@@ -30,24 +30,21 @@ connection handlers can share one instance without external serialization.
 
 Write-behind persistence
 ------------------------
-With ``flush_interval`` and/or ``flush_max_dirty`` set (and a persistent
-backend), stores mark keys *dirty* instead of persisting synchronously; a
-background flusher thread persists the dirty set once the count threshold is
-reached or the interval has elapsed — and :meth:`save` / :meth:`close` always
-persist everything outstanding.  Evicted and expired keys are tracked as
-*dead* so partial-flush backends delete exactly those rows.  A crash loses
-at most the not-yet-flushed increment; the on-disk store stays consistent
-because every backend writes atomically (temp-file rename or a SQLite
-transaction).  Flush activity is counted in :attr:`CacheStats.flushes` /
-:attr:`CacheStats.flushed_entries` and surfaces in ``repro metrics``.
+Stores mark keys *dirty*; :meth:`save` and :meth:`close` persist everything
+outstanding, and :meth:`flush` the dirty increment.  After
+:meth:`ClassificationCache.enable_write_behind` (the service calls it) a
+persistent cache also runs a background flusher thread, which persists the
+dirty set once :data:`FLUSH_MAX_DIRTY` keys are pending or
+:data:`FLUSH_INTERVAL_SECONDS` have passed since the last flush.  Evicted
+keys are tracked as *dead* so partial-flush backends delete exactly those
+rows.  A crash loses at most the not-yet-flushed increment; the on-disk
+store stays consistent because every backend writes atomically (temp-file
+rename or a SQLite transaction).  Flush activity is counted in
+:attr:`CacheStats.flushes` / :attr:`CacheStats.flushed_entries` and
+surfaces in ``repro metrics``.
 
-Expiry (TTL)
-------------
-With ``ttl_seconds`` set, entries older than the TTL count as misses: a
-:meth:`lookup` of an expired entry drops it (recording an *expiration*) and
-returns ``None``.  The sqlite backend persists store timestamps, so TTL
-survives restarts; the json format (kept byte-compatible with PR 1) does
-not, so loaded entries restart their TTL clock at load time.
+Entries never expire: a problem's class depends on the problem alone, so a
+stored answer never goes stale.
 
 Corruption handling
 -------------------
@@ -97,6 +94,8 @@ from .backends import (
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "FLUSH_INTERVAL_SECONDS",
+    "FLUSH_MAX_DIRTY",
     "SUPPORTED_SCHEMA_VERSIONS",
     "CacheCorruptionError",
     "CacheStats",
@@ -105,18 +104,24 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: Seconds after the last flush at which the write-behind flusher persists
+#: whatever is pending.
+FLUSH_INTERVAL_SECONDS = 1.0
+
+#: Pending dirty keys at which the write-behind flusher persists at once.
+FLUSH_MAX_DIRTY = 64
+
 #: How long :meth:`ClassificationCache.close` waits for the flusher thread.
 _FLUSHER_JOIN_TIMEOUT = 5.0
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction/expiry/flush counters of a :class:`ClassificationCache`."""
+    """Hit/miss/eviction/flush counters of a :class:`ClassificationCache`."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     flushes: int = 0
     flushed_entries: int = 0
 
@@ -140,7 +145,6 @@ class CacheStats:
             "total": self.total,
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "flushes": self.flushes,
             "flushed_entries": self.flushed_entries,
         }
@@ -160,14 +164,6 @@ class ClassificationCache:
         Optional LRU budget.  ``None`` (the default) means unbounded.  The
         in-memory mapping never exceeds this many entries, and because
         :meth:`save` snapshots that mapping, neither does the backing store.
-    ttl_seconds:
-        Optional time-to-live; entries older than this count as misses and
-        are dropped on lookup (see the module docstring).
-    flush_interval / flush_max_dirty:
-        Write-behind thresholds (seconds since last flush / pending dirty
-        keys).  Setting either enables the background flusher on persistent
-        backends; leaving both ``None`` keeps PR-1 semantics (persist only
-        on explicit :meth:`save` or :meth:`close`).
     quarantine:
         Whether construction quarantines a corrupt store and starts empty
         (the default) or propagates :class:`CacheCorruptionError`.
@@ -175,13 +171,10 @@ class ClassificationCache:
 
     path: Optional[str] = None
     max_entries: Optional[int] = None
-    ttl_seconds: Optional[float] = None
-    flush_interval: Optional[float] = None
-    flush_max_dirty: Optional[int] = None
     quarantine: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: "OrderedDict[str, Dict[str, Any]]" = field(default_factory=OrderedDict)
-    # Guards the LRU mapping, the stats counters, and the dirty/dead/TTL
+    # Guards the LRU mapping, the stats counters, and the dirty/dead
     # bookkeeping: worker threads of the scheduler (repro.workers) store
     # results concurrently with lookups from service connection handlers
     # and with the write-behind flusher.  Reentrant, so code holding it may
@@ -202,16 +195,6 @@ class ClassificationCache:
     def __post_init__(self) -> None:
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
-        if self.ttl_seconds is not None and self.ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be > 0, got {self.ttl_seconds}")
-        if self.flush_interval is not None and self.flush_interval <= 0:
-            raise ValueError(
-                f"flush_interval must be > 0, got {self.flush_interval}"
-            )
-        if self.flush_max_dirty is not None and self.flush_max_dirty < 1:
-            raise ValueError(
-                f"flush_max_dirty must be >= 1, got {self.flush_max_dirty}"
-            )
         self._backend: CacheBackend = (
             create_backend(self.path) if self.path else MemoryBackend()
         )
@@ -222,6 +205,7 @@ class ClassificationCache:
         # until the write returns and is counted (or fails and re-marks).
         self._writing = 0
         self._flush_cv = threading.Condition(threading.Lock())
+        self._write_behind = False
         self._flusher: Optional[threading.Thread] = None
         self._closed = False
         self._backend_closed = False
@@ -248,14 +232,6 @@ class ClassificationCache:
         return self._backend.persistent
 
     @property
-    def write_behind(self) -> bool:
-        """Whether background write-behind flushing is configured."""
-        return (
-            self._backend.persistent
-            and (self.flush_interval is not None or self.flush_max_dirty is not None)
-        )
-
-    @property
     def pending_dirty(self) -> int:
         """Keys awaiting a write-behind flush (dirty upserts + deletions)."""
         with self._lock:
@@ -275,68 +251,29 @@ class ClassificationCache:
                 "backend": self._backend.name,
                 "persistent": self._backend.persistent,
                 "dirty": self.pending_dirty,
-                "ttl_seconds": self.ttl_seconds,
-                "flush_interval": self.flush_interval,
-                "flush_max_dirty": self.flush_max_dirty,
                 **self.stats.as_dict(),
             }
 
-    def enable_write_behind(
-        self,
-        flush_interval: Optional[float] = None,
-        flush_max_dirty: Optional[int] = None,
-    ) -> None:
-        """Fill in *unset* write-behind thresholds (explicit config wins).
+    def enable_write_behind(self) -> None:
+        """Persist stores in the background from now on.
 
-        The service calls this with its defaults so persistent caches get
-        write-behind out of the box while user-provided ``cache_flush_*``
-        settings are never overridden.
+        On a persistent backend every later store wakes the write-behind
+        flusher, which persists at :data:`FLUSH_MAX_DIRTY` pending keys or
+        :data:`FLUSH_INTERVAL_SECONDS` after the last flush; on ``memory:``
+        this does nothing.
         """
-        if self.flush_interval is None and flush_interval is not None:
-            if flush_interval <= 0:
-                raise ValueError(f"flush_interval must be > 0, got {flush_interval}")
-            self.flush_interval = flush_interval
-        if self.flush_max_dirty is None and flush_max_dirty is not None:
-            if flush_max_dirty < 1:
-                raise ValueError(
-                    f"flush_max_dirty must be >= 1, got {flush_max_dirty}"
-                )
-            self.flush_max_dirty = flush_max_dirty
+        self._write_behind = self._backend.persistent
 
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def _expired(self, key: str, now: Optional[float] = None) -> bool:
-        """Whether ``key``'s entry is past its TTL (lock must be held)."""
-        if self.ttl_seconds is None:
-            return False
-        stored_at = self._stored_at.get(key)
-        if stored_at is None:
-            return False
-        if now is None:
-            now = time.time()
-        return (now - stored_at) > self.ttl_seconds
-
-    def _drop_entry(self, key: str) -> None:
-        """Remove ``key`` from memory, marking it dead (lock must be held)."""
-        self._entries.pop(key, None)
-        self._stored_at.pop(key, None)
-        self._dirty.discard(key)
-        if self._backend.persistent:
-            self._dead.add(key)
-
     def lookup(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored result dict for ``key`` (counting a hit or miss).
 
-        A hit refreshes the entry's LRU recency.  An entry past its TTL is
-        dropped, counted as an expiration, and reported as a miss.
+        A hit refreshes the entry's LRU recency.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and self._expired(key):
-                self._drop_entry(key)
-                self.stats.expirations += 1
-                entry = None
             if entry is None:
                 self.stats.misses += 1
                 return None
@@ -345,14 +282,8 @@ class ClassificationCache:
             return entry
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`lookup` but touching neither statistics nor recency.
-
-        Expired entries read as absent but are left for :meth:`lookup` (or
-        eviction) to reap — peeking stays strictly read-only.
-        """
+        """Like :meth:`lookup` but touching neither statistics nor recency."""
         with self._lock:
-            if self._expired(key):
-                return None
             return self._entries.get(key)
 
     def store(self, key: str, result_payload: Mapping[str, Any]) -> None:
@@ -370,7 +301,7 @@ class ClassificationCache:
                 self._dirty.add(key)
                 self._dead.discard(key)
             self._evict_over_budget()
-        if self.write_behind:
+        if self._write_behind:
             self._kick_flusher()
 
     def _evict_over_budget(self) -> int:
@@ -390,7 +321,7 @@ class ClassificationCache:
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._entries and not self._expired(key)
+            return key in self._entries
 
     def __len__(self) -> int:
         with self._lock:
@@ -411,8 +342,11 @@ class ClassificationCache:
         flush or save removes them from the durable tier as well.
         """
         with self._lock:
-            for key in list(self._entries):
-                self._drop_entry(key)
+            if self._backend.persistent:
+                self._dead.update(self._entries)
+            self._entries.clear()
+            self._stored_at.clear()
+            self._dirty.clear()
 
     # ------------------------------------------------------------------
     # Durable persistence
@@ -635,11 +569,10 @@ class ClassificationCache:
         pending = self.pending_dirty
         if not pending:
             return False
-        if self.flush_max_dirty is not None and pending >= self.flush_max_dirty:
-            return True
-        if self.flush_interval is not None:
-            return (time.monotonic() - self._last_flush) >= self.flush_interval
-        return False
+        return (
+            pending >= FLUSH_MAX_DIRTY
+            or time.monotonic() - self._last_flush >= FLUSH_INTERVAL_SECONDS
+        )
 
     def _flusher_loop(self) -> None:
         while True:
@@ -647,7 +580,7 @@ class ClassificationCache:
                 if self._closed:
                     return
                 if not self._flush_due():
-                    self._flush_cv.wait(timeout=self.flush_interval)
+                    self._flush_cv.wait(timeout=FLUSH_INTERVAL_SECONDS)
                 if self._closed:
                     return
                 if not self._flush_due():
@@ -663,7 +596,7 @@ class ClassificationCache:
                 with self._flush_cv:
                     if self._closed:
                         return
-                    self._flush_cv.wait(timeout=self.flush_interval or 1.0)
+                    self._flush_cv.wait(timeout=FLUSH_INTERVAL_SECONDS)
 
     def close(self, save: bool = True) -> None:
         """Stop the flusher, persist outstanding state, release the backend.

@@ -29,8 +29,6 @@ _FIELDS = (
      "Classification cache lookups that missed."),
     ("repro_cache_evictions_total", COUNTER, "cache", "evictions",
      "Entries evicted by the cache's LRU budget."),
-    ("repro_cache_expirations_total", COUNTER, "cache", "expirations",
-     "Entries dropped because they outlived the cache TTL."),
     ("repro_cache_flushes_total", COUNTER, "cache", "flushes",
      "Write-behind flushes and full snapshots persisted to the backend."),
     ("repro_cache_flushed_entries_total", COUNTER, "cache", "flushed_entries",

@@ -18,7 +18,6 @@ from .catalog import (
 from .random_problems import (
     all_possible_configurations,
     all_problems_with,
-    num_possible_configurations,
     random_problem,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "figure2_combined_problem",
     "hard_problem",
     "maximal_independent_set",
-    "num_possible_configurations",
     "pi_k",
     "distinct_forms",
     "random_problem",

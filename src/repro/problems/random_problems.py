@@ -26,13 +26,6 @@ def all_possible_configurations(labels: Sequence[Label], delta: int) -> List[Tup
     return result
 
 
-def num_possible_configurations(num_labels: int, delta: int) -> int:
-    """The number of distinct configurations over ``num_labels`` labels."""
-    from math import comb
-
-    return num_labels * comb(num_labels + delta - 1, delta)
-
-
 def random_problem(
     num_labels: int,
     delta: int = 2,

@@ -113,7 +113,7 @@ class ServiceClient:
 
         ``endpoint`` is a ``stdio:`` URL; its query parameters configure the
         service's cache exactly as for ``repro serve``
-        (``stdio:?cache=sqlite:c.db&cache_ttl=60``).  The subprocess runs on
+        (``stdio:?cache=sqlite:c.db&cache_max_entries=1000``).  The subprocess runs on
         the current interpreter and inherits the environment with
         ``PYTHONPATH`` extended so the *current* ``repro`` package is
         importable even when it has not been installed (the repo's ``src``

@@ -51,10 +51,10 @@ When the cache has a durable backend (a bare/``json:`` path or a
 ``sqlite:`` database — see :mod:`repro.engine.backends`) persistence is
 **write-behind**: stores mark keys dirty and a background flusher persists
 them once an interval elapses or enough keys are pending
-(``DEFAULT_CACHE_FLUSH_INTERVAL`` / ``DEFAULT_CACHE_FLUSH_MAX_DIRTY``,
-overridable via ``cache_flush_interval``/``cache_flush_count`` endpoint
-parameters).  Shutdown persists a final full snapshot, so a killed service
-loses at most the not-yet-flushed increment.
+(:data:`~repro.engine.cache.FLUSH_INTERVAL_SECONDS` /
+:data:`~repro.engine.cache.FLUSH_MAX_DIRTY`).  Shutdown persists a final
+full snapshot, so a killed service loses at most the not-yet-flushed
+increment.
 
 :class:`ThreadedService` runs the TCP variant on a background thread of the
 current process — the embedding used by ``tests/test_service.py`` and the
@@ -107,12 +107,6 @@ from .protocol import (
 
 MAX_LINE_BYTES = 16 * 1024 * 1024
 """Per-line read limit: batch requests serialize many problems on one line."""
-
-DEFAULT_CACHE_FLUSH_INTERVAL = 1.0
-"""Seconds between write-behind flushes of a persistent service cache."""
-
-DEFAULT_CACHE_FLUSH_MAX_DIRTY = 64
-"""Pending dirty keys that trigger an immediate write-behind flush."""
 
 ON_LOOP_MAX_LABELS = 4
 """Largest alphabet canonicalized on the event loop: at most 4! = 24 orders."""
@@ -243,14 +237,8 @@ class ClassificationService:
         self.driver = LocalDriver(
             SessionConfig(backend=backend or "threads", workers=workers), cache=cache
         )
-        # Persistent caches get write-behind persistence out of the box;
-        # explicit cache_flush_* settings on the cache win over these.
-        cache = self.driver.cache
-        if cache.persistent:
-            cache.enable_write_behind(
-                flush_interval=DEFAULT_CACHE_FLUSH_INTERVAL,
-                flush_max_dirty=DEFAULT_CACHE_FLUSH_MAX_DIRTY,
-            )
+        # A persistent cache writes behind (a no-op on memory caches).
+        self.driver.cache.enable_write_behind()
         # Spawn pool workers now, so the first request does not pay for it.
         backend = self.driver.scheduler.backend
         backend.probe()
@@ -356,6 +344,7 @@ class ClassificationService:
             raise RequestError("classify requires params.problem")
         priority, deadline = _request_options(request.params, "interactive")
         problem = resolve_problem(spec, default_name="<request>")
+        self.driver.count_request()
         # The trace is keyed by the *wire* request id, so the client that
         # sent this frame can fetch its span tree back with the `trace` op.
         trace = self.driver.tracer.start("classify", request_id=request.id)
@@ -389,6 +378,7 @@ class ClassificationService:
         since on-loop hits and a ready send would otherwise never suspend.
         """
         driver = self.driver
+        driver.count_request()
         # Per-item traces under sub-ids "<request id>.<seq>", so any item of
         # a batch/census is individually retrievable via the `trace` op.
         traces: List[Optional[RequestTrace]] = [None] * len(problems)
@@ -604,7 +594,6 @@ class ClassificationService:
         except ProtocolError as error:
             await send(error_frame(_best_effort_id(line), error))
             return
-        self.driver.count_request()
         try:
             await self._HANDLERS[request.op](self, request, send)
         except SessionError as error:

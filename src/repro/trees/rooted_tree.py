@@ -155,16 +155,6 @@ class RootedTree:
         lca_depth = depth[a]
         return (depth[first] - lca_depth) + (depth[second] - lca_depth)
 
-    def descendants(self, node: int) -> List[int]:
-        """All strict descendants of ``node``."""
-        result: List[int] = []
-        stack = list(self.children[node])
-        while stack:
-            current = stack.pop()
-            result.append(current)
-            stack.extend(self.children[current])
-        return result
-
     def port_of(self, node: int) -> int:
         """The index of ``node`` among its siblings (0 for the root)."""
         parent = self.parent[node]

@@ -532,7 +532,6 @@ class ClassificationScheduler:
                     flight.state = _RUNNING
                     flight.slot_held = True
                     self._slots_used += 1
-                    self.stats.scheduled += 1
                     batch.append(flight)
                     # Snapshot traces in the same critical section that flips
                     # the state: a shared waiter joining after this sees
@@ -556,28 +555,18 @@ class ClassificationScheduler:
     def _dispatch(self, flight: _Flight) -> None:
         try:
             future = self.backend.submit_task(self._task, flight.task, token=flight.token)
-        except BaseException as error:  # noqa: BLE001 - undo the reservation
-            with self._lock:
-                if flight.slot_held:
-                    flight.slot_held = False
-                    self._slots_used -= 1
-                flight.state = _SETTLED
-                if self._in_flight.get(flight.key) is flight:
-                    del self._in_flight[flight.key]
-                waiters: List[_Waiter] = []
-                if flight.outcome is None:
-                    flight.outcome = "failed"
-                    self.stats.failed += 1
-                    # Nothing reached the backend: `scheduled` keeps meaning
-                    # "searches actually started" (a later retry counts itself).
-                    self.stats.scheduled -= 1
-                    waiters, flight.waiters = flight.waiters, []
-            for waiter in waiters:
-                if not waiter.future.done():
-                    waiter.future.set_exception(error)
+        except BaseException as error:  # noqa: BLE001 - settles as a failed search
+            # The backend refused the task: settle the flight as if its
+            # search had failed, which frees the slot and pumps the queue.
+            refused: "Future[Any]" = Future()
+            refused.set_exception(error)
+            self._on_backend_done(flight, refused)
             return
         flight.future = future
         with self._lock:
+            # Counted once the backend holds the task, so `scheduled` means
+            # "searches actually started".
+            self.stats.scheduled += 1
             if flight.state != _SETTLED:
                 self._unsettled[flight.seq] = future
         if flight.outcome is not None:

@@ -51,15 +51,14 @@ class TestEndpointParsing:
     def test_local_endpoint_with_query(self):
         config = parse_endpoint(
             "local://threads?workers=4&cache=/tmp/c.json"
-            "&cache_max_entries=100&priority=batch&deadline=2.5"
+            "&cache_max_entries=100&obs=0"
         )
         assert config.mode == "local"
         assert config.backend == "threads"
         assert config.workers == 4
         assert config.cache_path == "/tmp/c.json"
         assert config.cache_max_entries == 100
-        assert config.default_priority == "batch"
-        assert config.default_deadline == 2.5
+        assert config.obs is False
 
     def test_tcp_endpoint(self):
         config = parse_endpoint("tcp://example.com:9000?retries=3")
@@ -75,7 +74,9 @@ class TestEndpointParsing:
             assert config.mode == "stdio"
 
     def test_endpoint_round_trips_through_url(self):
-        config = parse_endpoint("local://processes?workers=2&priority=warm")
+        config = parse_endpoint(
+            "local://processes?workers=2&cache_max_entries=7&obs=0"
+        )
         assert parse_endpoint(config.endpoint()) == config
 
     @pytest.mark.parametrize(
@@ -88,8 +89,16 @@ class TestEndpointParsing:
             "tcp://",  # no host
             "local://",  # no backend
             "",  # empty
-            "local://inline?priority=urgent",  # unknown priority
-            "local://inline?deadline=-1",  # non-positive deadline
+            # Priorities and deadlines are per call, and cache entries
+            # never expire nor take write-behind settings: these keys are
+            # refused, never accepted and ignored.
+            "local://inline?priority=urgent",
+            "local://inline?deadline=-1",
+            "local://inline?priority=batch",
+            "tcp://127.0.0.1:0?deadline=5",
+            "stdio:?cache_ttl=5",
+            "local://threads?cache_flush_interval=1",
+            "tcp://127.0.0.1:0?cache_flush_count=7",
         ],
     )
     def test_bad_endpoints_raise(self, endpoint):
@@ -185,15 +194,6 @@ class TestLocalSession:
             stats = session.stats()
         assert stats["cache"]["hits"] == 1
         assert stats["batch"]["full_searches"] == 0
-
-    def test_session_default_scheduling_from_endpoint(self):
-        with connect("local://inline?priority=warm") as session:
-            # An invalid per-call priority still fails fast...
-            with pytest.raises(RequestError):
-                session.classify(TWO_COLORING, priority="urgent")
-            # ...and the endpoint's default is applied otherwise.
-            outcome = session.classify(TWO_COLORING)
-            assert outcome.ok
 
     def test_bad_deadline_rejected_before_dispatch(self):
         with connect("local://inline") as session:

@@ -5,7 +5,6 @@ The PR-9 surface in one place:
 * ``parse_cache_url`` / ``create_backend`` selection rules,
 * behavior parity across the ``memory`` / ``json`` / ``sqlite`` backends,
 * write-behind flushing (partial for sqlite, whole-file for json),
-* TTL persistence differences between the backends,
 * corruption quarantine at construction,
 * export/import byte-identity across backends,
 * the two-process json temp-file corruption regression (fixed ``{path}.tmp``),
@@ -35,7 +34,8 @@ from repro.engine.backends import (
     parse_cache_url,
     parse_snapshot_text,
 )
-from repro.engine.cache import ClassificationCache
+from repro.engine import cache as cache_module
+from repro.engine.cache import FLUSH_MAX_DIRTY, ClassificationCache
 
 DURABLE = ("json", "sqlite")
 ALL_BACKENDS = ("memory",) + DURABLE
@@ -240,13 +240,21 @@ class TestWriteBehind:
         reopened.close(save=False)
 
     @pytest.mark.parametrize("backend", DURABLE)
-    def test_count_threshold_triggers_background_flush(self, backend, tmp_path):
+    def test_count_threshold_triggers_background_flush(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # Only the count can trigger a flush within this test.
+        monkeypatch.setattr(cache_module, "FLUSH_INTERVAL_SECONDS", 60.0)
         url = _url(backend, tmp_path)
-        cache = ClassificationCache(path=url, flush_max_dirty=2, flush_interval=60.0)
+        keys = [f"k{index}" for index in range(FLUSH_MAX_DIRTY)]
+        cache = ClassificationCache(path=url)
+        cache.enable_write_behind()
         try:
-            assert cache.write_behind
-            cache.store("k0", _entry(0))
-            cache.store("k1", _entry(1))
+            for key in keys[:-1]:
+                cache.store(key, _entry(key))
+            time.sleep(0.05)
+            assert cache.stats.flushes == 0  # one key short of the threshold
+            cache.store(keys[-1], _entry(keys[-1]))
             deadline = time.monotonic() + 10
             while cache.pending_dirty and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -255,13 +263,17 @@ class TestWriteBehind:
         finally:
             cache.close(save=False)
         reopened = ClassificationCache(path=url)
-        assert set(reopened.keys()) == {"k0", "k1"}
+        assert set(reopened.keys()) == set(keys)
         reopened.close(save=False)
 
     @pytest.mark.parametrize("backend", DURABLE)
-    def test_interval_threshold_triggers_background_flush(self, backend, tmp_path):
+    def test_interval_threshold_triggers_background_flush(
+        self, backend, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "FLUSH_INTERVAL_SECONDS", 0.05)
         url = _url(backend, tmp_path)
-        cache = ClassificationCache(path=url, flush_interval=0.05)
+        cache = ClassificationCache(path=url)
+        cache.enable_write_behind()
         try:
             cache.store("k", _entry("v"))
             deadline = time.monotonic() + 10
@@ -303,43 +315,6 @@ class TestWriteBehind:
         reopened = ClassificationCache(path=url)
         assert len(reopened) == 0
         reopened.close(save=False)
-
-
-# ----------------------------------------------------------------------
-# TTL expiry
-# ----------------------------------------------------------------------
-class TestTtl:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_expired_entries_read_as_misses(self, backend, tmp_path):
-        cache = ClassificationCache(path=_url(backend, tmp_path), ttl_seconds=0.05)
-        try:
-            cache.store("k", _entry("v"))
-            assert cache.lookup("k") is not None
-            time.sleep(0.1)
-            assert cache.peek("k") is None  # read-only: no reap, no stats
-            assert cache.stats.expirations == 0
-            assert cache.lookup("k") is None
-            assert cache.stats.expirations == 1
-            assert "k" not in cache
-        finally:
-            cache.close(save=False)
-
-    @pytest.mark.parametrize("backend", DURABLE)
-    def test_ttl_clock_across_restarts(self, backend, tmp_path):
-        """sqlite persists store times; json restamps them at load."""
-        url = _url(backend, tmp_path)
-        store = create_backend(url)
-        store.write_snapshot([("old", _entry("old"), time.time() - 100.0)])
-        store.close()
-        cache = ClassificationCache(path=url, ttl_seconds=50.0)
-        try:
-            if backend == "sqlite":
-                assert cache.lookup("old") is None
-                assert cache.stats.expirations == 1
-            else:
-                assert cache.lookup("old") is not None
-        finally:
-            cache.close(save=False)
 
 
 # ----------------------------------------------------------------------

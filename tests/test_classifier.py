@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ComplexityClass, classify, classify_with_certificates, complexity_of
+from repro.core import ComplexityClass, classify, classify_with_certificates
 from repro.problems import (
     branch_two_coloring,
     catalog,
@@ -25,7 +25,7 @@ class TestCatalogGoldenValues:
         assert classify(problem).complexity == expected
 
     def test_three_coloring_is_logstar(self):
-        assert complexity_of(three_coloring()) == ComplexityClass.LOGSTAR
+        assert classify(three_coloring()).complexity == ComplexityClass.LOGSTAR
 
     def test_mis_is_constant_but_not_zero_rounds(self):
         result = classify(maximal_independent_set())
@@ -43,10 +43,10 @@ class TestCatalogGoldenValues:
         assert result.polynomial_exponent_bound == 1
 
     def test_branch_two_coloring_is_log(self):
-        assert complexity_of(branch_two_coloring()) == ComplexityClass.LOG
+        assert classify(branch_two_coloring()).complexity == ComplexityClass.LOG
 
     def test_figure2_is_log(self):
-        assert complexity_of(figure2_combined_problem()) == ComplexityClass.LOG
+        assert classify(figure2_combined_problem()).complexity == ComplexityClass.LOG
 
     def test_pi_k_lower_bound_exponent(self):
         for k in (1, 2, 3):
@@ -55,7 +55,7 @@ class TestCatalogGoldenValues:
             assert result.polynomial_exponent_bound == k
 
     def test_unsolvable(self):
-        assert complexity_of(unsolvable_problem()) == ComplexityClass.UNSOLVABLE
+        assert classify(unsolvable_problem()).complexity == ComplexityClass.UNSOLVABLE
 
 
 class TestClassificationArtifacts:
@@ -109,8 +109,8 @@ class TestComplexityOrdering:
 
     def test_larger_palette_colorings_are_logstar(self):
         for colors in (3, 4, 5):
-            assert complexity_of(coloring(colors)) == ComplexityClass.LOGSTAR
+            assert classify(coloring(colors)).complexity == ComplexityClass.LOGSTAR
 
     def test_coloring_with_delta_three(self):
-        assert complexity_of(coloring(3, delta=3)) == ComplexityClass.LOGSTAR
-        assert complexity_of(coloring(2, delta=3)) == ComplexityClass.POLYNOMIAL
+        assert classify(coloring(3, delta=3)).complexity == ComplexityClass.LOGSTAR
+        assert classify(coloring(2, delta=3)).complexity == ComplexityClass.POLYNOMIAL

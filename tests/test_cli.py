@@ -599,10 +599,13 @@ def test_endpoint_flags_fill_in_or_exit_2(tmp_path, capsys):
     assert config.endpoint() == "local://threads?workers=2&cache=c.json"
     config = _session_config(
         parser.parse_args(
-            ["census", "--endpoint", "local://threads?workers=2", "--cache-ttl", "5"]
+            ["census", "--endpoint", "local://threads?workers=2",
+             "--cache-max-entries", "5"]
         )
     )
-    assert (config.backend, config.workers, config.cache_ttl) == ("threads", 2, 5.0)
+    assert (config.backend, config.workers, config.cache_max_entries) == (
+        "threads", 2, 5
+    )
     config = _session_config(
         parser.parse_args(["warm", "--endpoint", "stdio:", "--cache", "c.json"])
     )

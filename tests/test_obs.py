@@ -246,8 +246,6 @@ FAMILIES = [
      "Entries currently held by the classification cache."),
     ("repro_cache_evictions_total", "counter",
      "Entries evicted by the cache's LRU budget."),
-    ("repro_cache_expirations_total", "counter",
-     "Entries dropped because they outlived the cache TTL."),
     ("repro_cache_flushed_entries_total", "counter",
      "Entries written by write-behind flushes and full snapshots."),
     ("repro_cache_flushes_total", "counter",
@@ -289,7 +287,6 @@ UNLABELED_FIELDS = {
     "repro_cache_dirty_entries": ("cache", "dirty"),
     "repro_cache_entries": ("cache", "entries"),
     "repro_cache_evictions_total": ("cache", "evictions"),
-    "repro_cache_expirations_total": ("cache", "expirations"),
     "repro_cache_flushed_entries_total": ("cache", "flushed_entries"),
     "repro_cache_flushes_total": ("cache", "flushes"),
     "repro_cache_hits_total": ("cache", "hits"),
@@ -345,12 +342,12 @@ class TestMetricsContract:
         if endpoint == "tcp":
             with ThreadedService() as (host, port):
                 with connect(f"tcp://{host}:{port}") as session:
-                    self._check(session, remote=True)
+                    self._check(session)
         else:
             with connect(endpoint) as session:
-                self._check(session, remote=False)
+                self._check(session)
 
-    def _check(self, session, remote):
+    def _check(self, session):
         assert session.classify(EASY).ok
         assert session.classify(EASY).from_cache
         assert session.classify("a : b b\nb : a a").from_cache  # a renaming
@@ -371,8 +368,6 @@ class TestMetricsContract:
             [sample] = by_name[name]
             assert sample["labels"] == {}, name
             expected = stats[section][field]
-            if name == "repro_service_requests_total" and remote:
-                expected += 1  # the service counts the `metrics` request too
             if name == "repro_service_uptime_seconds":
                 assert expected <= sample["value"] < expected + 60
             else:
@@ -407,6 +402,39 @@ class TestMetricsContract:
         }
         assert histogram["count"] == search_times["count"] >= 2
         assert histogram["sum"] == search_times["total_ms"]
+
+
+class TestRequestsCounter:
+    """``repro_service_requests_total`` counts each request once, everywhere.
+
+    A request is one ``classify``, ``submit``, ``classify_many``, ``census``
+    or ``warm`` call, whatever it carries; reading the counter never moves it.
+    """
+
+    @pytest.mark.parametrize(
+        "endpoint", ("local://inline", "local://threads?workers=2", "tcp", "stdio:")
+    )
+    def test_one_count_per_request_on_every_endpoint(self, endpoint):
+        if endpoint == "tcp":
+            with ThreadedService() as (host, port):
+                with connect(f"tcp://{host}:{port}") as session:
+                    self._check(session)
+        else:
+            with connect(endpoint) as session:
+                self._check(session)
+
+    def _check(self, session):
+        assert session.classify(EASY).ok
+        assert len(list(session.classify_many([EASY, "1 : 1 1", "a : a a"]))) == 3
+        assert len(list(session.census(labels=2, count=2, seed=0))) == 2
+        assert session.warm([EASY], wait=True)["waited"]
+        assert session.stats()["service"]["requests_served"] == 4
+        [family] = [
+            family
+            for family in session.metrics()["families"]
+            if family["name"] == "repro_service_requests_total"
+        ]
+        assert family["samples"] == [{"labels": {}, "value": 4}]
 
 
 # ----------------------------------------------------------------------

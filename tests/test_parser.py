@@ -7,7 +7,6 @@ from repro.core import (
     LCLError,
     LCLProblem,
     format_problem,
-    parse_configuration,
     parse_problem,
 )
 from repro.problems import maximal_independent_set, three_coloring
@@ -31,30 +30,27 @@ def error_message(call, *args, **kwargs) -> str:
 
 
 class TestConfigurationParsing:
+    """The line grammar, one configuration at a time."""
+
     def test_colon_form(self):
-        assert parse_configuration("1 : 2 3") == Configuration("1", ("2", "3"))
+        assert parse_problem("1 : 2 3").configurations == {
+            Configuration("1", ("2", "3"))
+        }
 
     def test_compact_form(self):
-        assert parse_configuration("1:23") == Configuration("1", ("2", "3"))
+        assert parse_problem("1:23").configurations == {Configuration("1", ("2", "3"))}
 
     def test_whitespace_form(self):
-        assert parse_configuration("a b b") == Configuration("a", ("b", "b"))
+        assert parse_problem("a b b").configurations == {
+            Configuration("a", ("b", "b"))
+        }
 
     def test_multicharacter_labels_with_known_alphabet(self):
-        config = parse_configuration("x1 : a1 b1", known_labels=["x1", "a1", "b1"])
-        assert config == Configuration("x1", ("a1", "b1"))
-
-    def test_empty_line_rejected(self):
-        assert error_message(parse_configuration, "   ") == (
-            "cannot parse an empty configuration line"
-        )
+        problem = parse_problem("x1 : a1 b1", labels=["x1", "a1", "b1"])
+        assert problem.configurations == {Configuration("x1", ("a1", "b1"))}
 
     def test_missing_children_rejected(self):
-        assert error_message(parse_configuration, "1 :") == "configuration '1 :' has no children"
-        # A single line is quoted as given, surrounding whitespace included.
-        assert error_message(parse_configuration, " 1 : ") == (
-            "configuration ' 1 : ' has no children"
-        )
+        assert error_message(parse_problem, "1 :") == "configuration '1 :' has no children"
 
 
 class TestProblemParsing:

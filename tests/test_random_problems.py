@@ -6,7 +6,6 @@ from repro.core import classify, ComplexityClass
 from repro.problems.random_problems import (
     all_possible_configurations,
     all_problems_with,
-    num_possible_configurations,
     random_problem,
 )
 
@@ -15,11 +14,11 @@ class TestUniverse:
     def test_all_possible_configurations_count(self):
         configs = all_possible_configurations(["1", "2"], 2)
         assert len(configs) == 6  # 2 parents x 3 children multisets
-        assert len(configs) == num_possible_configurations(2, 2)
 
     def test_num_possible_configurations_formula(self):
-        assert num_possible_configurations(3, 2) == 3 * 6
-        assert num_possible_configurations(2, 3) == 2 * 4
+        # |Σ| parents times C(|Σ| + δ - 1, δ) children multisets.
+        assert len(all_possible_configurations(["1", "2", "3"], 2)) == 3 * 6
+        assert len(all_possible_configurations(["1", "2"], 3)) == 2 * 4
 
 
 class TestRandomProblems:
@@ -32,7 +31,7 @@ class TestRandomProblems:
         empty = random_problem(3, density=0.0, seed=1)
         full = random_problem(3, density=1.0, seed=1)
         assert empty.num_configurations == 0
-        assert full.num_configurations == num_possible_configurations(3, 2)
+        assert full.num_configurations == 3 * 6
 
     def test_invalid_density_rejected(self):
         with pytest.raises(ValueError):

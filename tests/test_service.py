@@ -196,7 +196,7 @@ class TestServiceOverTcp:
             with ServiceClient.connect_tcp(*address) as client:
                 client.request("classify", {"problem": "1 : 1 1"})
                 payload = client.request("stats")
-        assert payload["service"]["requests_served"] == 2  # classify + stats
+        assert payload["service"]["requests_served"] == 1  # stats counts nothing
         assert payload["batch"]["submitted"] == 1
         assert payload["cache"]["entries"] == 1
         # The workers section reports the pool configuration and live counters.

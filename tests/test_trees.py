@@ -73,11 +73,6 @@ class TestRootedTree:
         ids = tree.default_identifiers(seed=3)
         assert len(set(ids)) == tree.num_nodes
 
-    def test_descendants(self):
-        tree = complete_tree(2, 2)
-        child = tree.children[tree.root][0]
-        assert len(tree.descendants(child)) == 2
-
 
 class TestGenerators:
     def test_complete_tree_size(self):

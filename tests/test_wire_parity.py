@@ -13,7 +13,6 @@ remote driver.
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -187,12 +186,12 @@ def _package_env():
 @pytest.mark.parametrize(
     "serve_args",
     [
-        ["--host", "127.0.0.1", "--port", "0", "--cache-ttl", "0.2"],
-        ["tcp://127.0.0.1:0?cache_ttl=0.2"],
+        ["--host", "127.0.0.1", "--port", "0", "--cache-max-entries", "1"],
+        ["tcp://127.0.0.1:0?cache_max_entries=1"],
     ],
     ids=["flag", "endpoint"],
 )
-def test_serve_applies_cache_ttl_without_other_cache_settings(serve_args):
+def test_serve_applies_cache_max_entries_without_other_cache_settings(serve_args):
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", *serve_args],
         stderr=subprocess.PIPE,
@@ -208,12 +207,12 @@ def test_serve_applies_cache_ttl_without_other_cache_settings(serve_args):
                 break
         assert port is not None, "repro serve did not start"
         with connect(f"tcp://127.0.0.1:{port}") as session:
-            assert session.stats()["cache"]["ttl_seconds"] == 0.2
+            assert session.stats()["cache"]["max_entries"] == 1
             assert session.classify(TWO_COLORING).from_cache is False
-            time.sleep(0.4)
-            # The entry outlived its TTL: a miss and a fresh search.
+            assert session.classify("1 : 1 1").from_cache is False
+            # The one-entry budget evicted the first answer: a fresh search.
             assert session.classify(TWO_COLORING).from_cache is False
-            assert session.stats()["cache"]["expirations"] == 1
+            assert session.stats()["cache"]["evictions"] == 2
             session.shutdown()
         assert process.wait(timeout=30) == 0
     finally:
@@ -226,15 +225,16 @@ def test_serve_applies_cache_ttl_without_other_cache_settings(serve_args):
 def test_stdio_endpoint_carries_any_cache_path():
     # A stdio: session hands its endpoint URL to `repro serve`.
     path = "/tmp/odd dir/a+b&c#d%e.json"
-    config = SessionConfig(mode="stdio", cache_path=path, cache_ttl=0.5)
+    config = SessionConfig(mode="stdio", cache_path=path, cache_max_entries=5)
     assert parse_endpoint(config.endpoint()) == config
 
 
-def test_stdio_session_passes_every_cache_setting():
-    endpoint = "stdio:?cache_ttl=0.3&cache_flush_interval=5&cache_flush_count=7"
-    with connect(endpoint) as session:
+def test_stdio_session_passes_every_cache_setting(tmp_path):
+    cache_url = f"sqlite:{tmp_path / 'stdio.db'}"
+    config = SessionConfig(mode="stdio", cache_path=cache_url, cache_max_entries=7)
+    with connect(config) as session:
         cache = session.stats()["cache"]
         session.shutdown()
-    assert cache["ttl_seconds"] == 0.3
-    assert cache["flush_interval"] == 5.0
-    assert cache["flush_max_dirty"] == 7
+    assert (cache["path"], cache["backend"], cache["max_entries"]) == (
+        cache_url, "sqlite", 7
+    )

@@ -498,7 +498,47 @@ class _RecordingBackend(ThreadBackend):
         return super().submit_task(fn, *args, token=token)
 
 
+class _RefusingBackend(ThreadBackend):
+    """A one-worker thread pool that refuses the second task it is handed."""
+
+    def __init__(self):
+        super().__init__(workers=1)
+        self.submits = 0
+
+    def submit_task(self, fn, *args, token=None):
+        self.submits += 1
+        if self.submits == 2:
+            raise RuntimeError("refused")
+        return super().submit_task(fn, *args, token=token)
+
+
 class TestDeadlinesAndCancellation:
+    def test_a_refused_dispatch_does_not_strand_the_queue(self):
+        """A flight the backend refuses fails alone: the flight queued
+        behind it dispatches to the slot the refusal left free."""
+        release = threading.Event()
+        running_form, refused_form, queued_form = _distinct_forms(3, start=80)
+        scheduler = ClassificationScheduler(
+            backend=_RefusingBackend(), task=_blocked_task_factory(release)
+        )
+        try:
+            running = scheduler.submit(running_form)
+            refused = scheduler.submit(refused_form)
+            queued = scheduler.submit(queued_form)
+            release.set()
+            assert running.result(timeout=10)["complexity"] == "CONSTANT"
+            with pytest.raises(RuntimeError, match="refused"):
+                refused.result(timeout=10)
+            assert queued.result(timeout=10)["complexity"] == "CONSTANT"
+            assert scheduler.wait_idle(timeout=10)
+            assert scheduler.in_flight == 0
+            assert scheduler.slots_in_use == 0
+            stats = scheduler.stats
+            assert (stats.scheduled, stats.completed, stats.failed) == (2, 2, 1)
+        finally:
+            release.set()
+            scheduler.close()
+
     def test_close_keeps_enforcing_deadlines_while_it_drains(self):
         """close() cancels a search still waited on, and times out a
         background warm's deadlined search instead of waiting it out."""
